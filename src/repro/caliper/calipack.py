@@ -211,8 +211,11 @@ class CalipackWriter:
         return entry
 
     def append_profile(self, name: str, profile: CaliProfile,
-                       corrupt_crc: bool = False) -> ArchiveEntry:
-        return self.append_bytes(name, serialize_cali(profile, corrupt_crc))
+                       corrupt_crc: bool = False) -> bytes:
+        """Serialize and append one profile; returns the sealed bytes."""
+        data = serialize_cali(profile, corrupt_crc)
+        self.append_bytes(name, data)
+        return data
 
     def _collect_schemas(
         self,
@@ -325,12 +328,13 @@ class ArchiveSink:
 
     def append(
         self, name: str, profile: CaliProfile, corrupt_crc: bool = False
-    ) -> str:
-        """Append one cell's profile; returns its member ref."""
+    ) -> tuple[str, bytes]:
+        """Append one cell's profile; returns its member ref and the
+        sealed bytes written (reusable, e.g. for the shm transport)."""
         if self._writer is None:
             self._writer = CalipackWriter(self.path)
-        self._writer.append_profile(name, profile, corrupt_crc)
-        return member_ref(self.ref_archive, name)
+        data = self._writer.append_profile(name, profile, corrupt_crc)
+        return member_ref(self.ref_archive, name), data
 
     def close(self) -> None:
         if self._writer is not None:

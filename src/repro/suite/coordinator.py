@@ -60,6 +60,7 @@ from repro.caliper.calipack import ARCHIVE_NAME, member_ref, merge_shards, split
 from repro.chaos.points import crash_point
 from repro.cli.exitcodes import CAMPAIGN_LOCKED
 from repro.faults import FaultInjector, active_injector
+from repro.suite.executor import ModelPlan
 from repro.suite.manifest import MANIFEST_NAME, CampaignLock, CampaignManifest
 from repro.suite.report import (
     STATUS_FAILED,
@@ -242,12 +243,17 @@ class ShardCoordinator:
     """Partition, spawn, monitor, heal, merge — one sharded campaign."""
 
     def __init__(
-        self, params: RunParams, injector: FaultInjector | None = None
+        self,
+        params: RunParams,
+        injector: FaultInjector | None = None,
+        model_plan: ModelPlan | None = None,
     ) -> None:
         if params.shards < 1:
             raise ValueError("ShardCoordinator requires params.shards >= 1")
         self.params = params
         self.injector = injector if injector is not None else active_injector()
+        #: filled by the LPT cut's cost model; shards inherit it on fork
+        self.model_plan = model_plan if model_plan is not None else ModelPlan()
         self._ctx = _mp_context()
         self._shutdown = False
 
@@ -355,7 +361,7 @@ class ShardCoordinator:
                     k for k in range(existing.shards) if k not in existing.retired
                 ] or list(range(existing.shards))
                 if existing.strategy == STRATEGY_LPT:
-                    costs = CellCostModel.for_params(params)
+                    costs = CellCostModel.for_params(params, self.model_plan)
                     loads = {
                         index: sum(
                             costs.cost_of_key(k)
@@ -381,7 +387,7 @@ class ShardCoordinator:
             assignment = partition_keys_lpt(
                 pending,
                 params.shards,
-                CellCostModel.for_params(params).cost_of_key,
+                CellCostModel.for_params(params, self.model_plan).cost_of_key,
             )
         else:
             strategy = STRATEGY_ROUND_ROBIN
@@ -403,7 +409,10 @@ class ShardCoordinator:
         resume = handle.resume or params.resume
         handle.process = self._ctx.Process(
             target=shard_main,
-            args=(handle.index, params, specs, write_files, resume, os.getpid()),
+            args=(
+                handle.index, params, specs, write_files, resume, os.getpid(),
+                self.model_plan,
+            ),
             name=f"campaign-shard-{handle.index}",
             # Not a daemon: a shard may spawn its own worker pool, and
             # daemonic processes cannot have children.

@@ -15,7 +15,8 @@ analytic work annotations:
 * the **modeled machine time** — :meth:`KernelBase.predict` folds the
   :class:`~repro.perfmodel.work.WorkProfile` (flops + bytes at the
   cell's problem size) through the machine model with the variant and
-  tuning multipliers ``perfmodel`` already applies;
+  tuning multipliers ``perfmodel`` already applies, read from the
+  campaign's :class:`~repro.suite.executor.ModelPlan`;
 * when real execution is on, a **host execution term**: the analytic
   bytes+flops at the (capped) execution size over a nominal host
   throughput, plus a per-partition dispatch overhead — RAJA variants
@@ -24,8 +25,11 @@ analytic work annotations:
   vectorized call.
 
 Costs are trial-independent (trials of one (machine, variant, tuning)
-are the same work), cached per combination, and deterministic: no
-clocks, no RNG draws, no filesystem state.
+are the same work) and deterministic: no clocks, no RNG draws, no
+filesystem state. The model term is shared with the executor through
+the plan: a supervisor or shard coordinator estimates every cell before
+it forks, so the plan its workers inherit already holds every kernel's
+model output and the workers evaluate no model at all.
 
 A prior campaign's manifest can override the analytics with *measured*
 per-cell wall times (``elapsed_s``, recorded by the executor since this
@@ -105,24 +109,30 @@ class CellCostModel:
 
     ``measured`` maps exact cell keys to observed wall times (seconds)
     and wins over the analytic estimate; everything else is computed
-    from ``params`` alone.
+    from ``params`` alone. ``plan`` is the campaign's model plan the
+    model term is read from (and filled into); a private one when unset.
     """
 
-    def __init__(self, params, measured: dict[str, float] | None = None) -> None:
+    def __init__(
+        self, params, measured: dict[str, float] | None = None, plan=None
+    ) -> None:
+        from repro.suite.executor import ModelPlan
+
         self.params = params
         self.measured = dict(measured or {})
+        self.plan = plan if plan is not None else ModelPlan()
         #: (machine, variant, block) -> analytic cost (trial-independent)
         self._cache: dict[tuple[str, str, int], float] = {}
 
     @classmethod
-    def for_params(cls, params) -> "CellCostModel":
+    def for_params(cls, params, plan=None) -> "CellCostModel":
         """The model ``params`` asks for: analytic, plus the measured
         override from ``params.cost_from`` when set."""
         measured = None
         cost_from = getattr(params, "cost_from", None)
         if cost_from:
             measured = load_measured_costs(cost_from)
-        return cls(params, measured=measured)
+        return cls(params, measured=measured, plan=plan)
 
     # ----------------------------------------------------------- estimates
     def cost(self, machine: str, variant: str, block: int) -> float:
@@ -188,11 +198,7 @@ class CellCostModel:
         if variant.is_gpu and block:
             policy = policy.with_block_size(block)
         for cls in kernels:
-            kernel = cls(problem_size=params.problem_size)
-            breakdown = kernel.predict(
-                machine, variant, block_size=block or None
-            )
-            total += breakdown.total_seconds * params.reps
+            total += self.plan.entry(cls, params, machine, variant, block).total
             if exec_size:
                 exec_kernel = cls(problem_size=exec_size)
                 work = exec_kernel.work_profile()

@@ -26,6 +26,11 @@ reference when real execution is on. Outcomes land in a
 to a campaign manifest so an interrupted sweep resumes where it stopped
 (``RunParams.resume``). ``RunParams.fail_fast`` restores abort-on-first-
 error. Faults are plantable via :mod:`repro.faults` for testing.
+
+Trials of one (machine, variant, tuning) differ only in the noise on
+``Avg time/rank``, so the machine model runs once per kernel and cell
+shape: a campaign-scoped :class:`ModelPlan` memoizes everything else and
+the executor replays it per trial.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ from repro.gpusim.ncu import ncu_counters
 from repro.machines.model import MachineKind, MachineModel
 from repro.machines.registry import get_machine
 from repro.perfmodel.cpu_time import CpuTimeModel
+from repro.perfmodel.traits import KernelTraits
+from repro.perfmodel.work import WorkProfile
 from repro.suite.checksum import checksums_match
 from repro.suite.errors import (
     ChecksumMismatchError,
@@ -114,6 +121,9 @@ class CellOutcome:
     #: measured wall time of the whole cell (kernels + profile write) —
     #: recorded in the manifest to feed a later run's ``--cost-from``
     elapsed_s: float | None = None
+    #: the sealed ``.cali`` bytes the archive sink stored (None for loose
+    #: files, a failed write, or an entry written with a corrupt CRC)
+    payload: bytes | None = None
 
     @property
     def failed(self) -> bool:
@@ -128,6 +138,86 @@ class CellOutcome:
     @property
     def failed_kernels(self) -> list[str]:
         return [r.kernel for r in self.records if r.status == STATUS_FAILED]
+
+
+@dataclass(frozen=True)
+class PlanEntry:
+    """One kernel's trial-invariant model output for one cell shape.
+
+    ``metrics`` and ``counters`` are the ``set_metric`` rows in the
+    order the executor records them. CPU machines precompute their slot
+    counters; GPU machines keep one device's work and the traits,
+    because ``ncu_counters`` takes the cell's noisy total.
+    """
+
+    #: predicted node time over all reps, before any trial noise
+    total: float
+    metrics: tuple[tuple[str, float], ...]
+    counters: tuple[tuple[str, float], ...] = ()
+    per_gpu: WorkProfile | None = None
+    traits: KernelTraits | None = None
+
+
+def _plan_entry(
+    kernel: KernelBase,
+    reps: int,
+    machine: MachineModel,
+    variant: Variant,
+    block: int,
+) -> PlanEntry:
+    """Evaluate the machine model for one (kernel, cell shape)."""
+    work = kernel.work_profile(reps=reps)
+    traits = kernel.effective_traits()
+    breakdown = kernel.predict(machine, variant, block_size=block or None)
+    metrics = (
+        *work.per_iteration().items(),
+        ("iterations", work.iterations),
+        ("reps", float(reps)),
+    )
+    total = breakdown.total_seconds * reps
+    if machine.kind is MachineKind.CPU:
+        cpu_breakdown = CpuTimeModel(machine).predict(work, traits)
+        counters = slot_counters(cpu_breakdown, machine, work.instructions)
+        return PlanEntry(total, metrics, tuple(counters.items()))
+    # NCU profiles a single device: scale the node totals down to one
+    # GPU's share (time is the same — ranks run concurrently).
+    per_gpu = work.scaled(1.0 / machine.units_per_node)
+    return PlanEntry(total, metrics, per_gpu=per_gpu, traits=traits)
+
+
+class ModelPlan:
+    """Campaign-scoped memo of each kernel's trial-invariant model output.
+
+    Keyed on (kernel class, problem size, reps, machine, variant, GPU
+    block) — the frozen machine and variant values, never their names.
+    A miss builds the kernel at the model size and evaluates the model;
+    a failing evaluation raises without storing anything, so every
+    retry attempt re-evaluates. The supervisor's and shard
+    coordinator's cost models fill the plan before forking, so their
+    workers inherit it warm.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, PlanEntry] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def entry(
+        self,
+        cls: type[KernelBase],
+        params: RunParams,
+        machine: MachineModel,
+        variant: Variant,
+        block: int,
+    ) -> PlanEntry:
+        key = (cls, params.problem_size, params.reps, machine, variant, block)
+        hit = self._entries.get(key)
+        if hit is None:
+            kernel = cls(problem_size=params.problem_size)
+            hit = _plan_entry(kernel, params.reps, machine, variant, block)
+            self._entries[key] = hit
+        return hit
 
 
 def _variant_compatible(variant: Variant, machine: MachineModel) -> bool:
@@ -152,7 +242,9 @@ class SuiteExecutor:
     ``injector`` overrides the process-wide active fault injector (tests
     usually install one via the :class:`FaultInjector` context manager
     instead); ``sleep_fn`` replaces the real backoff sleep so retry tests
-    run instantly.
+    run instantly. ``model_plan`` is the campaign's :class:`ModelPlan`
+    when a supervisor or shard hands its warm one down; otherwise the
+    executor owns a fresh one.
     """
 
     def __init__(
@@ -160,10 +252,12 @@ class SuiteExecutor:
         params: RunParams,
         injector: FaultInjector | None = None,
         sleep_fn: Callable[[float], None] | None = None,
+        model_plan: ModelPlan | None = None,
     ) -> None:
         self.params = params
         self.injector = injector
         self.sleep_fn = sleep_fn if sleep_fn is not None else time.sleep
+        self.model_plan = model_plan if model_plan is not None else ModelPlan()
         self._reference_checksums: dict[tuple[type[KernelBase], int], float | None] = {}
         #: one set-up instance per (class, size) reused across the whole
         #: campaign — variants, tunings, trials (None = --no-state-pool)
@@ -229,14 +323,18 @@ class SuiteExecutor:
             from repro.suite.coordinator import ShardCoordinator
 
             coordinator = ShardCoordinator(
-                self.params, injector=self._active_injector()
+                self.params,
+                injector=self._active_injector(),
+                model_plan=self.model_plan,
             )
             return coordinator.run(cells, write_files)
         if self.params.workers > 1:
             from repro.suite.supervisor import CampaignSupervisor
 
             supervisor = CampaignSupervisor(
-                self.params, injector=self._active_injector()
+                self.params,
+                injector=self._active_injector(),
+                model_plan=self.model_plan,
             )
             return supervisor.run(cells, write_files)
         return self._run_cells(cells, write_files)
@@ -317,10 +415,11 @@ class SuiteExecutor:
         profile, records = self._run_one_cell(cell)
         written: Path | None = None
         write_error: str | None = None
+        payload: bytes | None = None
         if write_files:
             target = Path(params.output_dir) / cell.fname
             try:
-                written = self._write_profile(profile, target, cell)
+                written, payload = self._write_profile(profile, target, cell)
             except ProfileWriteError as err:
                 if params.fail_fast:
                     raise
@@ -347,14 +446,19 @@ class SuiteExecutor:
             written=written,
             write_error=write_error,
             elapsed_s=time.perf_counter() - cell_start,
+            payload=payload,
         )
 
-    def _write_profile(self, profile: CaliProfile, target: Path, cell: _Cell) -> Path:
+    def _write_profile(
+        self, profile: CaliProfile, target: Path, cell: _Cell
+    ) -> tuple[Path, bytes | None]:
         """Write one profile with the same bounded retry as kernels.
 
         Loose-file mode writes a sealed ``.cali``; packed mode appends
         the same sealed bytes to the campaign archive (returning the
-        member ref as the recorded path).
+        member ref as the recorded path). The second item is the sealed
+        bytes a packed append wrote, unless the fault injector corrupted
+        their CRC.
         """
         policy = self.params.retry_policy()
         delays = policy.delays(salt=cell.key)
@@ -367,10 +471,11 @@ class SuiteExecutor:
                         injector is not None
                         and injector.footer_fault(cell.fname) is not None
                     )
-                    return Path(
-                        self.profile_sink.append(cell.fname, profile, corrupt)
+                    ref, data = self.profile_sink.append(
+                        cell.fname, profile, corrupt
                     )
-                return write_cali(profile, target)
+                    return Path(ref), None if corrupt else data
+                return write_cali(profile, target), None
             except OSError as exc:
                 if attempt >= policy.max_attempts:
                     raise ProfileWriteError(str(target), exc) from exc
@@ -399,15 +504,6 @@ class SuiteExecutor:
         frame_to_csv(Frame.from_records(records), path)
 
     # --------------------------------------------------------- single run
-    def _run_one(
-        self, machine: MachineModel, variant: Variant, block: int, trial: int = 0
-    ) -> CaliProfile:
-        """One (machine, variant, tuning, trial) profile (no file I/O)."""
-        tuning = f"block_{block}" if block else "default"
-        cell = _Cell(machine, variant, block, trial, fname=f"<{tuning}>")
-        profile, _ = self._run_one_cell(cell)
-        return profile
-
     def _run_one_cell(
         self, cell: _Cell
     ) -> tuple[CaliProfile, list[KernelRunRecord]]:
@@ -521,9 +617,8 @@ class SuiteExecutor:
                 hang = injector.hang_seconds(site)
                 if hang:
                     clock.advance(hang)
-            kernel = cls(problem_size=params.problem_size)
             self._record_kernel(
-                session, kernel, machine, variant, block, trial, site, record
+                session, cls, machine, variant, block, trial, site, record
             )
         except SuiteError:
             raise
@@ -545,7 +640,7 @@ class SuiteExecutor:
     def _record_kernel(
         self,
         session: CaliperSession,
-        kernel: KernelBase,
+        cls: type[KernelBase],
         machine: MachineModel,
         variant: Variant,
         block: int,
@@ -553,35 +648,32 @@ class SuiteExecutor:
         site: FaultSite | None = None,
         record: KernelRunRecord | None = None,
     ) -> None:
+        """Record one kernel's metrics: the planned model rows, with the
+        trial's noise on ``Avg time/rank`` and the GPU counters it feeds,
+        then (when executing) the measured run."""
         from repro.perfmodel.noise import noisy_time
 
         params = self.params
-        work = kernel.work_profile(reps=params.reps)
-        traits = kernel.effective_traits()
-        breakdown = kernel.predict(machine, variant, block_size=block or None)
-        total = breakdown.total_seconds * params.reps
+        entry = self.model_plan.entry(cls, params, machine, variant, block)
+        total = entry.total
         if params.trials > 1:
             total = noisy_time(
-                total, kernel.full_name, machine.shorthand, trial, params.noise_sigma
+                total,
+                cls.class_full_name(),
+                machine.shorthand,
+                trial,
+                params.noise_sigma,
             )
 
         session.set_metric("Avg time/rank", total, accumulate=False)
-        for name, value in work.per_iteration().items():
+        for name, value in entry.metrics:
             session.set_metric(name, value, accumulate=False)
-        session.set_metric("iterations", work.iterations, accumulate=False)
-        session.set_metric("reps", float(params.reps), accumulate=False)
-
-        if machine.kind is MachineKind.CPU:
-            cpu_breakdown = CpuTimeModel(machine).predict(work, traits)
-            for name, value in slot_counters(
-                cpu_breakdown, machine, work.instructions
-            ).items():
+        if entry.per_gpu is None:
+            for name, value in entry.counters:
                 session.set_metric(name, value, accumulate=False)
         else:
-            # NCU profiles a single device: scale the node totals down to
-            # one GPU's share (time is the same — ranks run concurrently).
-            per_gpu = work.scaled(1.0 / machine.units_per_node)
-            for name, value in ncu_counters(per_gpu, traits, machine, total).items():
+            counters = ncu_counters(entry.per_gpu, entry.traits, machine, total)
+            for name, value in counters.items():
                 session.set_metric(name, value, accumulate=False)
 
         if params.execute:
@@ -589,7 +681,7 @@ class SuiteExecutor:
             # is explicit and timed separately: "wall time (executed)"
             # must cover only the variant run, not state preparation.
             setup_start = time.perf_counter()
-            exec_kernel = self._exec_kernel(type(kernel))
+            exec_kernel = self._exec_kernel(cls)
             session.set_metric(
                 "setup time (executed)",
                 time.perf_counter() - setup_start,
@@ -607,7 +699,7 @@ class SuiteExecutor:
             if injector is not None and site is not None:
                 checksum = injector.corrupt_checksum(checksum, site)
             session.set_metric("checksum", checksum, accumulate=False)
-            self._verify_checksum(session, kernel, variant, trial, checksum, record)
+            self._verify_checksum(session, cls, variant, trial, checksum, record)
 
     def _exec_kernel(self, cls: type[KernelBase]) -> KernelBase:
         """A set-up instance of ``cls`` at the execution size, ready for
@@ -624,7 +716,7 @@ class SuiteExecutor:
     def _verify_checksum(
         self,
         session: CaliperSession,
-        kernel: KernelBase,
+        cls: type[KernelBase],
         variant: Variant,
         trial: int,
         checksum: float,
@@ -632,7 +724,7 @@ class SuiteExecutor:
     ) -> None:
         """Cross-variant verification: every executed variant must agree
         with the Base_Seq reference checksum (RAJAPerf's tripwire)."""
-        reference = self._reference_checksum(type(kernel))
+        reference = self._reference_checksum(cls)
         if reference is None:
             return
         ok = checksums_match(reference, checksum)
@@ -641,7 +733,7 @@ class SuiteExecutor:
             record.checksum_ok = ok
         if not ok:
             raise ChecksumMismatchError(
-                kernel.full_name, variant.name, trial, reference, checksum
+                cls.class_full_name(), variant.name, trial, reference, checksum
             )
 
     def _reference_checksum(self, cls: type[KernelBase]) -> float | None:

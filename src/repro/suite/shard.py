@@ -211,6 +211,7 @@ def shard_main(
     write_files: bool,
     resume: bool,
     coordinator_pid: int,
+    model_plan=None,
 ) -> None:
     """Shard process entry point (must stay importable for ``spawn``).
 
@@ -244,7 +245,7 @@ def shard_main(
     )
     lease.start()
 
-    executor = SuiteExecutor(sparams)
+    executor = SuiteExecutor(sparams, model_plan=model_plan)
     if write_files and sparams.pack and sparams.workers == 1:
         from repro.caliper.calipack import ARCHIVE_NAME, ArchiveSink
 

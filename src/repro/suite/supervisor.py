@@ -49,6 +49,9 @@ wait over the result/heartbeat queues and worker sentinels — it wakes
 O(events), not O(elapsed/50ms). None of it changes what a campaign
 produces: results are keyed by cell and the packed archive is
 canonicalized, so outputs are byte-identical across every knob setting.
+The cost-model pass also fills the campaign's
+:class:`~repro.suite.executor.ModelPlan`, which every worker inherits, so
+workers replay model output instead of evaluating the machine model.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from pathlib import Path
 from repro.chaos.points import crash_point
 from repro.faults import FaultInjector, FaultSpec, active_injector
 from repro.suite.costmodel import CellCostModel
+from repro.suite.executor import ModelPlan
 from repro.suite.heartbeat import HeartbeatMonitor
 from repro.suite.schedule import (
     SCHEDULE_LPT,
@@ -141,12 +145,16 @@ class CampaignSupervisor:
         params: RunParams,
         injector: FaultInjector | None = None,
         on_cell_complete: Callable[[str], None] | None = None,
+        model_plan: ModelPlan | None = None,
     ) -> None:
         if params.workers < 2:
             raise ValueError("CampaignSupervisor requires params.workers >= 2")
         self.params = params
         self.injector = injector if injector is not None else active_injector()
         self.on_cell_complete = on_cell_complete
+        #: the campaign's model plan: the cost model fills it before any
+        #: worker forks, so workers inherit every entry warm
+        self.model_plan = model_plan if model_plan is not None else ModelPlan()
         self._shutdown = False
         self._ctx = _mp_context()
         self._next_worker_id = 0
@@ -191,6 +199,7 @@ class CampaignSupervisor:
                 # fork-inherited, never pickled/re-attached (see
                 # shm_transport); None under spawn or --no-shm
                 shm_ring,
+                self.model_plan,
             ),
             name=f"campaign-worker-{worker_id}",
             daemon=True,
@@ -239,7 +248,7 @@ class CampaignSupervisor:
                         fname=cell.fname,
                     )
                 )
-            costs = CellCostModel.for_params(params)
+            costs = CellCostModel.for_params(params, self.model_plan)
             if params.schedule == SCHEDULE_LPT:
                 # Longest first: the expensive cells start immediately
                 # instead of landing on one worker after everyone else

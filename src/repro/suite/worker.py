@@ -113,10 +113,12 @@ def _rebuild_cell(task: CellTask):
     )
 
 
-def run_cell_task(executor, task: CellTask, write_files: bool) -> CellResult:
+def run_cell_task(
+    executor, task: CellTask, write_files: bool, shm_ring=None
+) -> CellResult:
     """Execute one task through the shared cell primitive."""
     outcome = executor.run_cell(_rebuild_cell(task), write_files)
-    return CellResult(
+    result = CellResult(
         worker_id=-1,  # stamped by the caller
         key=task.key,
         status=outcome.status,
@@ -126,22 +128,28 @@ def run_cell_task(executor, task: CellTask, write_files: bool) -> CellResult:
         failed_kernels=outcome.failed_kernels,
         elapsed_s=outcome.elapsed_s,
     )
+    _offload_profile(result, shm_ring, outcome.payload)
+    return result
 
 
-def _offload_profile(result: CellResult, shm_ring) -> None:
+def _offload_profile(result: CellResult, shm_ring, payload: bytes | None) -> None:
     """Park the result's profile bytes in the shm ring when possible.
 
-    On success the pickled result crosses the queue without its region
-    tree; the supervisor rebuilds it from the slot. Any failure (no
-    ring, oversize payload, slot exhaustion) leaves the profile in the
-    result — the queue path always works.
+    ``payload`` is the sealed entry the archive sink already wrote for
+    this profile; only loose-file mode and corrupt-CRC entries pay for a
+    second serialization. On success the pickled result crosses the
+    queue without its region tree; the supervisor rebuilds it from the
+    slot. Any failure (no ring, oversize payload, slot exhaustion)
+    leaves the profile in the result — the queue path always works.
     """
     if shm_ring is None or result.profile is None:
         return
     from repro.caliper.cali import serialize_cali
 
     try:
-        slot = shm_ring.try_write(serialize_cali(result.profile))
+        if payload is None:
+            payload = serialize_cali(result.profile)
+        slot = shm_ring.try_write(payload)
     except Exception:  # noqa: BLE001 - transport is best-effort
         slot = None
     if slot is not None:
@@ -158,8 +166,13 @@ def worker_main(
     fault_specs: list[FaultSpec],
     write_files: bool,
     shm_ring=None,
+    model_plan=None,
 ) -> None:
-    """Worker process entry point (must stay importable for ``spawn``)."""
+    """Worker process entry point (must stay importable for ``spawn``).
+
+    ``model_plan`` is the supervisor's :class:`~repro.suite.executor.ModelPlan`,
+    inherited warm from its cost-model pass.
+    """
     from repro.suite.executor import SuiteExecutor
 
     try:
@@ -179,7 +192,7 @@ def worker_main(
         worker_id, heartbeat_queue, params.effective_heartbeat_interval()
     )
     emitter.start()
-    executor = SuiteExecutor(params, injector=injector)
+    executor = SuiteExecutor(params, injector=injector, model_plan=model_plan)
     if write_files and params.pack:
         from pathlib import Path
 
@@ -232,7 +245,7 @@ def worker_main(
                     emitter.suppress()
                     time.sleep(stall)  # wedged: the supervisor must kill us
             try:
-                result = run_cell_task(executor, task, write_files)
+                result = run_cell_task(executor, task, write_files, shm_ring)
             except ChaosCrash:  # a simulated crash must stay a crash
                 raise
             except BaseException as exc:  # noqa: BLE001 - cell never dies silently
@@ -255,7 +268,6 @@ def worker_main(
                     failed_kernels=["<worker>"],
                 )
             result.worker_id = worker_id
-            _offload_profile(result, shm_ring)
             result_queue.put(result)
     if executor.profile_sink is not None:
         executor.profile_sink.close()  # seal the segment's index
