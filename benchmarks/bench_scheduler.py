@@ -6,8 +6,7 @@ many tiny cells (seq variants of a cheap kernel) plus one huge straggler
 seed scheduler the straggler sits at the end of the sweep order, so a
 ``--workers 4`` campaign drains its tiny cells first and then holds the
 whole pool open on one worker; LPT ordering starts the straggler first,
-batching collapses the tiny-cell dispatch overhead, and the shm ring
-carries the result payloads.
+and batching collapses the tiny-cell dispatch overhead.
 
 The probe kernel models its device time as *launch latency* (one
 ``time.sleep`` sized by the policy's launch count) rather than host
@@ -17,9 +16,8 @@ arrays — identical outputs across scheduler settings is asserted per
 cell, and a model-only packed campaign must merge to byte-identical
 archives under every knob combination.
 
-Asserted: LPT + batching + shm completes the skewed campaign >= 1.5x
-faster than FIFO + single-cell dispatch + queue transport at
-``--workers 4``; gated in CI by ``benchmarks/baselines/scheduler.json``.
+Asserted: LPT + batching completes the skewed campaign >= 1.5x faster
+than FIFO + single-cell dispatch at ``--workers 4``; gated in CI by ``benchmarks/baselines/scheduler.json``.
 """
 
 from __future__ import annotations
@@ -181,12 +179,12 @@ def _cell_checksums(outdir: Path, result) -> dict:
     return {"cells": per_cell, "references": refs}
 
 
-FIFO = dict(schedule="fifo", batch_cells=1, shm=False)
-LPT = dict(schedule="lpt", batch_cells="auto", shm=True)
+FIFO = dict(schedule="fifo", batch_cells=1)
+LPT = dict(schedule="lpt", batch_cells="auto")
 
 
 def bench_scheduler_skewed_campaign(benchmark, artifact_dir, tmp_path):
-    """The acceptance bench: LPT+batch+shm >= 1.5x FIFO at 4 workers."""
+    """The acceptance bench: LPT+batch >= 1.5x FIFO at 4 workers."""
     walls = {"fifo": [], "lpt": []}
     checks: dict[str, dict] = {}
     # Interleaved best-of-2 so drift hits both configurations equally.
@@ -217,11 +215,11 @@ def bench_scheduler_skewed_campaign(benchmark, artifact_dir, tmp_path):
         f"cells:               {cells} ({cells - 1} tiny + 1 straggler)\n"
         f"workers:             {WORKERS}\n"
         f"fifo wall:           {fifo_s:.2f} s\n"
-        f"lpt+batch+shm wall:  {lpt_s:.2f} s\n"
+        f"lpt+batch wall:      {lpt_s:.2f} s\n"
         f"speedup:             {speedup:.2f}x",
     )
     assert speedup >= MIN_SPEEDUP, (
-        f"lpt+batch+shm only {speedup:.2f}x faster than fifo "
+        f"lpt+batch only {speedup:.2f}x faster than fifo "
         f"({lpt_s:.2f}s vs {fifo_s:.2f}s; need >= {MIN_SPEEDUP}x)"
     )
 
@@ -245,7 +243,7 @@ def bench_scheduler_archives_bit_identical(benchmark, tmp_path):
     )
     for label, knobs in (
         ("lpt", LPT),
-        ("lpt_noshm", dict(schedule="lpt", batch_cells=4, shm=False)),
+        ("lpt_batch4", dict(schedule="lpt", batch_cells=4)),
     ):
         assert run(label, knobs) == baseline, (
             f"{label} archive differs from fifo archive"

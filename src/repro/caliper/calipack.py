@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import shutil
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -211,11 +210,9 @@ class CalipackWriter:
         return entry
 
     def append_profile(self, name: str, profile: CaliProfile,
-                       corrupt_crc: bool = False) -> bytes:
-        """Serialize and append one profile; returns the sealed bytes."""
-        data = serialize_cali(profile, corrupt_crc)
-        self.append_bytes(name, data)
-        return data
+                       corrupt_crc: bool = False) -> ArchiveEntry:
+        """Serialize and append one profile under ``name``."""
+        return self.append_bytes(name, serialize_cali(profile, corrupt_crc))
 
     def _collect_schemas(
         self,
@@ -328,13 +325,17 @@ class ArchiveSink:
 
     def append(
         self, name: str, profile: CaliProfile, corrupt_crc: bool = False
-    ) -> tuple[str, bytes]:
-        """Append one cell's profile; returns its member ref and the
-        sealed bytes written (reusable, e.g. for the shm transport)."""
+    ) -> str:
+        """Append one cell's profile; returns its member ref.
+
+        ``corrupt_crc`` seals the entry with a wrong CRC (the fault
+        injector's footer fault), so fsck and ingest have a damaged
+        entry to detect.
+        """
         if self._writer is None:
             self._writer = CalipackWriter(self.path)
-        data = self._writer.append_profile(name, profile, corrupt_crc)
-        return member_ref(self.ref_archive, name), data
+        self._writer.append_profile(name, profile, corrupt_crc)
+        return member_ref(self.ref_archive, name)
 
     def close(self) -> None:
         if self._writer is not None:
@@ -747,10 +748,10 @@ def _merge_archives(sources: list[Path], target: Path) -> Path:
 
     The merged archive is rebuilt name-sorted in a tmp sibling and
     durably replaced, so its bytes are a pure function of its entry set:
-    no matter how many segments or merge levels produced it, or in what
+    no matter how many segments or shards produced it, or in what
     completion order entries arrived, the same entries give the same
-    archive — the property the sharded merge tree's bit-identity
-    guarantee rests on.
+    archive — the property the sharded merge's bit-identity guarantee
+    rests on.
     """
     entries: dict[str, tuple[Path, ArchiveEntry]] = {}
     for source in sources:
@@ -838,44 +839,21 @@ def merge_shards(
     directory: str | Path,
     shard_archives: list[str | Path],
     archive: str | Path | None = None,
-    scratch: str | Path | None = None,
 ) -> Path | None:
-    """Hierarchically merge per-shard archives into the campaign archive.
+    """Fold per-shard archives into the campaign archive in one pass.
 
-    Pairs of archives fold into scratch intermediates level by level (a
-    merge tree, with the ``shard.mid-merge-level`` crash point between
-    levels), and the final level — together with any existing campaign
-    archive — goes through the same canonical rewrite as
-    :func:`merge_segments`. Source order is preserved across tree
-    levels, so last-wins precedence holds globally: callers order
-    ``shard_archives`` with superseded (failed, reassigned-away) shards
-    first. Intermediates live in a scratch directory recreated per
-    merge; a crash at any level simply re-runs the tree from the intact
-    shard archives. Shard archives themselves are never deleted.
+    Any existing campaign archive comes first, then the shard archives
+    in the caller's order, through the same canonical rewrite as
+    :func:`merge_segments` (tmp + durable replace). Last-wins holds
+    across the whole concatenation, so callers order ``shard_archives``
+    with superseded (failed, reassigned-away) shards first. A crash
+    mid-merge leaves the campaign archive as it was and the shard
+    archives intact, so the merge simply re-runs; shard archives are
+    never deleted.
     """
     directory = Path(directory)
     target = Path(archive) if archive is not None else directory / ARCHIVE_NAME
     sources = [Path(p) for p in shard_archives if Path(p).exists()]
     if not sources:
         return None
-    scratch_dir = (
-        Path(scratch) if scratch is not None else directory / ".merge-scratch"
-    )
-    shutil.rmtree(scratch_dir, ignore_errors=True)
-    scratch_dir.mkdir(parents=True, exist_ok=True)
-    level: list[Path] = sources
-    depth = 0
-    while len(level) > 1:
-        next_level: list[Path] = []
-        for i in range(0, len(level), 2):
-            out = scratch_dir / f"level{depth}-{i // 2}{ARCHIVE_SUFFIX}"
-            _merge_archives(level[i : i + 2], out)
-            next_level.append(out)
-        # One tree level durable in scratch: a crash here re-runs the
-        # whole tree from the shard archives (still intact).
-        crash_point("shard.mid-merge-level", path=target)
-        level = next_level
-        depth += 1
-    _merge_archives(([target] if target.exists() else []) + level, target)
-    shutil.rmtree(scratch_dir, ignore_errors=True)
-    return target
+    return _merge_archives(([target] if target.exists() else []) + sources, target)

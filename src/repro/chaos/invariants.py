@@ -59,7 +59,7 @@ from repro.suite.manifest import MANIFEST_NAME
 
 #: metric columns that exist only under real execution and are measured
 #: (wall clock), hence legitimately differ between two correct runs
-VOLATILE_COLUMNS = ("wall time (executed)",)
+VOLATILE_COLUMNS = ("wall time (executed)", "setup time (executed)")
 
 
 @dataclass
@@ -78,16 +78,13 @@ def _archive_paths(directory: Path) -> list[Path]:
     if seg_dir.is_dir():
         archives += sorted(seg_dir.glob("*" + calipack.ARCHIVE_SUFFIX))
     # A sharded campaign's entries may sit in per-shard archives (and
-    # their segments, and the merge tree's scratch intermediates) before
-    # the hierarchical merge lands them in the campaign archive.
+    # their segments) before the shard merge lands them in the campaign
+    # archive.
     shard_root = directory / "shards"
     if shard_root.is_dir():
         for shard_dir in sorted(shard_root.iterdir()):
             if shard_dir.is_dir():
                 archives += _archive_paths(shard_dir)
-    scratch = directory / ".merge-scratch"
-    if scratch.is_dir():
-        archives += sorted(scratch.glob("*" + calipack.ARCHIVE_SUFFIX))
     return archives
 
 

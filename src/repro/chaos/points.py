@@ -152,13 +152,6 @@ REGISTERED_POINTS: dict[str, PointSpec] = {
             description="shard coordinator: a shard supervisor exited "
             "and was recorded, its outcome not yet acted on",
         ),
-        PointSpec(
-            "shard.mid-merge-level",
-            modes=("sharded",),
-            pack=True,
-            description="shard merge tree: one level of intermediates "
-            "durable in scratch, shard archives intact",
-        ),
         # ---- suite/manifest.py: the campaign ledger -------------------
         PointSpec(
             "manifest.pre-save",

@@ -65,7 +65,7 @@ CHILD_TIMEOUT_S = 180.0
 
 
 def _effective_pack(mode: str, spec: PointSpec) -> bool:
-    """Sharded campaigns always pack: the merge tree needs archives."""
+    """Sharded campaigns always pack: the shard merge needs archives."""
     return spec.pack or mode == "sharded"
 
 

@@ -139,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="group up to N cheap cells into one dispatch "
                           "message ('auto' sizes batches from the cost "
                           "model; 1 disables batching)")
-    run.add_argument("--no-shm", action="store_true",
-                     help="disable the shared-memory result transport "
-                          "and send profiles over the result queue")
     run.add_argument("--cost-from", default=None, metavar="MANIFEST",
                      help="override the analytic cost model with measured "
                           "cell times from a prior campaign's manifest")
@@ -491,7 +488,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             state_pool=not args.no_state_pool,
             trials=args.trials,
             write_csv=args.csv,
-            # The merge tree combines per-shard archives, so sharded
+            # The shard merge combines per-shard archives, so sharded
             # campaigns are always packed.
             pack=args.pack or args.shards > 0,
             output_dir=args.output_dir,
@@ -505,7 +502,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             shard_lease_timeout=args.shard_lease_timeout,
             schedule=args.schedule,
             batch_cells=args.batch_cells,
-            shm=not args.no_shm,
             cost_from=args.cost_from,
         )
     except ValueError as exc:

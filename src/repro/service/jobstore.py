@@ -164,7 +164,7 @@ def params_from_spec(
                 kwargs[key] = value
         shards = int(spec.get("shards", 0) or 0)
         if shards > 0:
-            kwargs["pack"] = True  # the shard merge tree needs archives
+            kwargs["pack"] = True  # the shard merge needs archives
         return RunParams(
             output_dir=str(output_dir), resume=resume, **kwargs
         )

@@ -60,7 +60,6 @@ from repro.suite.schedule import (
     order_lpt,
     plan_batch,
 )
-from repro.suite.shm_transport import ShmRing, create_ring
 from repro.suite.supervisor import CampaignSupervisor
 from repro.suite.worker import (
     WORKER_CRASH_EXITCODE,
@@ -135,6 +134,4 @@ __all__ = [
     "lpt_partition_keys",
     "plan_batch",
     "CellBatch",
-    "ShmRing",
-    "create_ring",
 ]

@@ -28,17 +28,18 @@ campaign-level state and nothing else:
   become terminal: those cells are recorded ``failed`` with
   ``<shard unavailable>`` in the campaign manifest, and the campaign —
   like every other failure here — finishes unclean instead of dying;
-* the **hierarchical merge**: on completion, per-shard archives fold
-  through :func:`~repro.caliper.calipack.merge_shards`' merge tree into
-  one canonical ``campaign.calipack`` that is byte-identical to what a
+* the **shard merge**: on completion, per-shard archives fold in one
+  pass through :func:`~repro.caliper.calipack.merge_shards` into one
+  canonical ``campaign.calipack`` that is byte-identical to what a
   single-supervisor run of the same cells produces, and the campaign
   manifest is composed from the shard manifests with member refs
   rewritten to the merged archive.
 
 Crash points: ``shard.pre-map-save`` (partition computed, map not yet
-durable), ``shard.post-shard-exit`` (a shard reaped, outcome not yet
-acted on), and ``shard.mid-merge-level`` (inside the merge tree). Kill
-the coordinator at any of them — or kill any shard anywhere — and
+durable) and ``shard.post-shard-exit`` (a shard reaped, outcome not yet
+acted on); a crash inside the merge strikes the ``fsio.*`` and
+``calipack.*`` points of its tmp + durable-replace write. Kill the
+coordinator at any of them — or kill any shard anywhere — and
 ``fsck`` + ``run --resume`` converges to the full cell set (chaos
 invariant I5).
 """
@@ -587,7 +588,7 @@ class ShardCoordinator:
 
     # ----------------------------------------------------------------- merge
     def _merge(self, out_dir: Path, shard_map: ShardMap, handles) -> None:
-        """Fold the shard archives into the campaign archive (merge tree).
+        """Fold the shard archives into the campaign archive in one pass.
 
         Retired shards' archives go first so a survivor's re-run of
         reassigned residue wins the last-wins dedup; survivors follow in

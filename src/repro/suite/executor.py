@@ -121,9 +121,6 @@ class CellOutcome:
     #: measured wall time of the whole cell (kernels + profile write) —
     #: recorded in the manifest to feed a later run's ``--cost-from``
     elapsed_s: float | None = None
-    #: the sealed ``.cali`` bytes the archive sink stored (None for loose
-    #: files, a failed write, or an entry written with a corrupt CRC)
-    payload: bytes | None = None
 
     @property
     def failed(self) -> bool:
@@ -415,11 +412,10 @@ class SuiteExecutor:
         profile, records = self._run_one_cell(cell)
         written: Path | None = None
         write_error: str | None = None
-        payload: bytes | None = None
         if write_files:
             target = Path(params.output_dir) / cell.fname
             try:
-                written, payload = self._write_profile(profile, target, cell)
+                written = self._write_profile(profile, target, cell)
             except ProfileWriteError as err:
                 if params.fail_fast:
                     raise
@@ -446,19 +442,14 @@ class SuiteExecutor:
             written=written,
             write_error=write_error,
             elapsed_s=time.perf_counter() - cell_start,
-            payload=payload,
         )
 
-    def _write_profile(
-        self, profile: CaliProfile, target: Path, cell: _Cell
-    ) -> tuple[Path, bytes | None]:
+    def _write_profile(self, profile: CaliProfile, target: Path, cell: _Cell) -> Path:
         """Write one profile with the same bounded retry as kernels.
 
         Loose-file mode writes a sealed ``.cali``; packed mode appends
         the same sealed bytes to the campaign archive (returning the
-        member ref as the recorded path). The second item is the sealed
-        bytes a packed append wrote, unless the fault injector corrupted
-        their CRC.
+        member ref as the recorded path).
         """
         policy = self.params.retry_policy()
         delays = policy.delays(salt=cell.key)
@@ -471,11 +462,10 @@ class SuiteExecutor:
                         injector is not None
                         and injector.footer_fault(cell.fname) is not None
                     )
-                    ref, data = self.profile_sink.append(
-                        cell.fname, profile, corrupt
+                    return Path(
+                        self.profile_sink.append(cell.fname, profile, corrupt)
                     )
-                    return Path(ref), None if corrupt else data
-                return write_cali(profile, target), None
+                return write_cali(profile, target)
             except OSError as exc:
                 if attempt >= policy.max_attempts:
                     raise ProfileWriteError(str(target), exc) from exc

@@ -40,9 +40,9 @@ and gets its own sub-pass (skipped while a live shard holds its lock).
 At the campaign level fsck additionally repairs the shard map — an
 unreadable ``shard_map.json`` is backed up so the resumed coordinator
 repartitions — quarantines shard directories the map does not know
-(orphans from an older, wider partition), and sweeps the merge tree's
-``.merge-scratch`` intermediates, which are pure derivatives of the
-shard archives.
+(orphans from an older, wider partition), and sweeps a stale
+``.merge-scratch`` directory: older versions merged shards through
+intermediates there, which are pure derivatives of the shard archives.
 
 Campaign-service roots (:mod:`repro.service`) are audited too: every
 ``jobs/<id>.json`` record is seal-verified (damage backed up as
@@ -384,8 +384,9 @@ def _fsck_shards(
     if quarantine and not _campaign_is_live(directory):
         scratch = directory / ".merge-scratch"
         if scratch.is_dir():
-            # Merge intermediates are pure derivatives of the shard
-            # archives; the resumed merge rebuilds them from scratch.
+            # Left by older versions' merge tree: the intermediates are
+            # pure derivatives of the shard archives, and today's merge
+            # reads the shard archives directly.
             shutil.rmtree(scratch, ignore_errors=True)
             report.notes.append("stale merge scratch removed")
         token = directory / (LOCK_NAME + ".takeover")

@@ -8,7 +8,7 @@ per-machine configurations the paper ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from repro.machines.registry import MACHINES
 from repro.suite.features import Feature
@@ -81,10 +81,12 @@ class RunParams:
     # --- cost-model scheduling (see costmodel.py / schedule.py) ---
     schedule: str = "lpt"  # "lpt" orders/packs by estimated cost; "fifo" = seed order
     batch_cells: str | int = "auto"  # cells per dispatch message ("auto" or >= 1)
-    shm: bool = True  # shared-memory result transport (queue fallback when off)
+    #: ignored; accepted so callers that still pass ``shm=`` keep working
+    #: (results always cross the worker queue)
+    shm: InitVar[bool] = True
     cost_from: str | None = None  # manifest path supplying measured cell costs
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, shm: bool) -> None:
         self.problem_size = parse_size(self.problem_size)
         if self.reps <= 0:
             raise ValueError(f"reps must be > 0, got {self.reps}")
@@ -131,7 +133,7 @@ class RunParams:
             )
         if self.shards > 0 and not self.pack:
             raise ValueError(
-                "sharded campaigns require pack=True: the merge tree "
+                "sharded campaigns require pack=True: the shard merge "
                 "combines per-shard .calipack archives"
             )
         if self.fail_fast and self.shards > 0:
@@ -179,7 +181,7 @@ class RunParams:
     def fingerprint(self) -> dict[str, object]:
         """Configuration identity recorded in the campaign manifest.
 
-        Scheduling knobs (schedule/batch_cells/shm/cost_from), like the
+        Scheduling knobs (schedule/batch_cells/cost_from), like the
         worker and shard counts, stay out: they change *how* the same
         cell set runs, never what it produces, so a resumed campaign or
         an adopted shard map must survive changing them.

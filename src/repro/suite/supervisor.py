@@ -42,13 +42,15 @@ Scheduling (PR 10): pending cells are ordered longest-first by the
 :class:`~repro.suite.costmodel.CellCostModel` estimate (``--schedule
 lpt``; ``fifo`` preserves sweep order), small cells coalesce into
 :class:`~repro.suite.worker.CellBatch` dispatch messages that shrink
-toward single cells as the tail drains (``--batch-cells``), result
-payloads ride a shared-memory ring instead of the pickled queue
-(``--no-shm`` to disable), and the loop blocks on a single select-style
-wait over the result/heartbeat queues and worker sentinels — it wakes
-O(events), not O(elapsed/50ms). None of it changes what a campaign
-produces: results are keyed by cell and the packed archive is
-canonicalized, so outputs are byte-identical across every knob setting.
+toward single cells as the tail drains (``--batch-cells``), and the
+loop blocks on a single select-style wait over the result/heartbeat
+queues and worker sentinels — it wakes O(events), not O(elapsed/50ms).
+None of it changes what a campaign produces: results are keyed by cell
+and the packed archive is canonicalized, so outputs are byte-identical
+across every knob setting. Each :class:`~repro.suite.worker.CellResult`,
+profile included, crosses the result queue as one pickle: unpickling a
+region tree costs the supervisor less than re-parsing the profile's
+sealed ``.cali`` bytes would.
 The cost-model pass also fills the campaign's
 :class:`~repro.suite.executor.ModelPlan`, which every worker inherits, so
 workers replay model output instead of evaluating the machine model.
@@ -79,7 +81,6 @@ from repro.suite.schedule import (
     resolve_batch_cap,
 )
 from repro.suite.session import CampaignSession
-from repro.suite.shm_transport import create_ring
 from repro.suite.report import (
     STATUS_FAILED,
     STATUS_RETRIED,
@@ -181,8 +182,8 @@ class CampaignSupervisor:
 
     # -------------------------------------------------------------- workers
     def _spawn_worker(self, result_queue, heartbeat_queue, write_files: bool,
-                      specs: list[FaultSpec], monitor: HeartbeatMonitor,
-                      shm_ring=None) -> _WorkerHandle:
+                      specs: list[FaultSpec],
+                      monitor: HeartbeatMonitor) -> _WorkerHandle:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_queue = self._ctx.Queue()
@@ -196,9 +197,6 @@ class CampaignSupervisor:
                 heartbeat_queue,
                 specs,
                 write_files,
-                # fork-inherited, never pickled/re-attached (see
-                # shm_transport); None under spawn or --no-shm
-                shm_ring,
                 self.model_plan,
             ),
             name=f"campaign-worker-{worker_id}",
@@ -276,9 +274,6 @@ class CampaignSupervisor:
         result_queue = self._ctx.Queue()
         heartbeat_queue = self._ctx.Queue()
         monitor = HeartbeatMonitor(params.heartbeat_timeout)
-        # The shm ring must exist before any worker forks: workers use
-        # the inherited mapping and never attach by name.
-        shm_ring = create_ring(self._ctx) if params.shm else None
         batch_cap = resolve_batch_cap(params.batch_cells)
         #: cell key -> precomputed backoff waits (salted, deterministic)
         backoffs: dict[str, list[float]] = {}
@@ -290,25 +285,6 @@ class CampaignSupervisor:
         for task in pending:
             queue.push(task)
             remaining_cost += costs.cost_of_task(task)
-
-        def resolve_transport(result: CellResult) -> None:
-            """Rebuild a shm-parked profile (and recycle its slot)."""
-            if result.shm_slot is None:
-                return
-            slot, result.shm_slot = result.shm_slot, None
-            if shm_ring is None:  # pragma: no cover - worker had a ring, we lost it
-                return
-            payload = shm_ring.read(slot)
-            if payload is None:
-                return  # damaged slot: metadata survives, profile is lost
-            from repro.caliper.cali import parse_cali_payload, profile_from_payload
-
-            try:
-                result.profile = profile_from_payload(
-                    parse_cali_payload(payload, f"<shm slot {slot}>")
-                )
-            except ValueError:  # pragma: no cover - CRC passed, parse failed
-                result.profile = None
 
         def record_result(result: CellResult) -> None:
             for rec in result.records:
@@ -411,8 +387,7 @@ class CampaignSupervisor:
         try:
             for _ in range(min(params.workers, len(queue))):
                 handle = self._spawn_worker(
-                    result_queue, heartbeat_queue, write_files, specs, monitor,
-                    shm_ring,
+                    result_queue, heartbeat_queue, write_files, specs, monitor
                 )
                 workers[handle.worker_id] = handle
 
@@ -474,7 +449,6 @@ class CampaignSupervisor:
                         break
                     got_result = True
                     self.results_handled += 1
-                    resolve_transport(result)
                     handle = workers.get(result.worker_id)
                     if handle is not None:
                         handle.finish(result.key)
@@ -505,7 +479,7 @@ class CampaignSupervisor:
                 ):
                     handle = self._spawn_worker(
                         result_queue, heartbeat_queue, write_files, specs,
-                        monitor, shm_ring,
+                        monitor,
                     )
                     workers[handle.worker_id] = handle
         finally:
@@ -525,8 +499,6 @@ class CampaignSupervisor:
             for q in (result_queue, heartbeat_queue):
                 q.cancel_join_thread()
                 q.close()
-            if shm_ring is not None:
-                shm_ring.close()
 
     @staticmethod
     def _wait_events(result_queue, heartbeat_queue, workers, timeout: float) -> None:

@@ -12,8 +12,8 @@
   match on the cell's attempt number so scenarios survive respawns);
 * pulls :class:`CellTask` items off its private task queue, executes
   them through :meth:`SuiteExecutor.run_cell`, and reports a
-  :class:`CellResult` on the shared result queue. ``None`` is the
-  poison pill.
+  :class:`CellResult` — profile included, as one pickle — on the shared
+  result queue. ``None`` is the poison pill.
 
 A ``WORKER_CRASH`` fault fires *before* the cell runs and calls
 ``os._exit`` — no result, no cleanup, no atexit: the closest a Python
@@ -97,7 +97,6 @@ class CellResult:
     profile: object | None = None  # CaliProfile (picklable region tree)
     failed_kernels: list[str] = field(default_factory=list)
     elapsed_s: float | None = None  # measured cell wall time (cost model feed)
-    shm_slot: int | None = None  # profile parked in the shm ring, not pickled
 
 
 def _rebuild_cell(task: CellTask):
@@ -113,12 +112,10 @@ def _rebuild_cell(task: CellTask):
     )
 
 
-def run_cell_task(
-    executor, task: CellTask, write_files: bool, shm_ring=None
-) -> CellResult:
+def run_cell_task(executor, task: CellTask, write_files: bool) -> CellResult:
     """Execute one task through the shared cell primitive."""
     outcome = executor.run_cell(_rebuild_cell(task), write_files)
-    result = CellResult(
+    return CellResult(
         worker_id=-1,  # stamped by the caller
         key=task.key,
         status=outcome.status,
@@ -128,33 +125,6 @@ def run_cell_task(
         failed_kernels=outcome.failed_kernels,
         elapsed_s=outcome.elapsed_s,
     )
-    _offload_profile(result, shm_ring, outcome.payload)
-    return result
-
-
-def _offload_profile(result: CellResult, shm_ring, payload: bytes | None) -> None:
-    """Park the result's profile bytes in the shm ring when possible.
-
-    ``payload`` is the sealed entry the archive sink already wrote for
-    this profile; only loose-file mode and corrupt-CRC entries pay for a
-    second serialization. On success the pickled result crosses the
-    queue without its region tree; the supervisor rebuilds it from the
-    slot. Any failure (no ring, oversize payload, slot exhaustion)
-    leaves the profile in the result — the queue path always works.
-    """
-    if shm_ring is None or result.profile is None:
-        return
-    from repro.caliper.cali import serialize_cali
-
-    try:
-        if payload is None:
-            payload = serialize_cali(result.profile)
-        slot = shm_ring.try_write(payload)
-    except Exception:  # noqa: BLE001 - transport is best-effort
-        slot = None
-    if slot is not None:
-        result.profile = None
-        result.shm_slot = slot
 
 
 def worker_main(
@@ -165,7 +135,6 @@ def worker_main(
     heartbeat_queue,
     fault_specs: list[FaultSpec],
     write_files: bool,
-    shm_ring=None,
     model_plan=None,
 ) -> None:
     """Worker process entry point (must stay importable for ``spawn``).
@@ -245,7 +214,7 @@ def worker_main(
                     emitter.suppress()
                     time.sleep(stall)  # wedged: the supervisor must kill us
             try:
-                result = run_cell_task(executor, task, write_files, shm_ring)
+                result = run_cell_task(executor, task, write_files)
             except ChaosCrash:  # a simulated crash must stay a crash
                 raise
             except BaseException as exc:  # noqa: BLE001 - cell never dies silently

@@ -149,6 +149,35 @@ def test_merge_segments_orders_worker_segments_numerically(tmp_path):
     assert data == serialize_cali(make_profile("dup", 10.0))
 
 
+def test_merge_shards_folds_in_one_pass_with_last_wins(tmp_path):
+    """The existing campaign archive, then the shard archives in caller
+    order: a later source wins a duplicate, and no shard archive or
+    intermediate is left changed or behind."""
+    target = tmp_path / calipack.ARCHIVE_NAME
+    with calipack.CalipackWriter(target) as writer:
+        writer.append_profile("x.cali", make_profile("x", 0.0))
+    shards = []
+    for i, extra in enumerate(("a", "b", "c")):
+        shard = tmp_path / f"shard-{i}.calipack"
+        with calipack.CalipackWriter(shard) as writer:
+            if i < 2:
+                writer.append_profile("x.cali", make_profile("x", i + 1.0))
+            writer.append_profile(f"{extra}.cali", make_profile(extra))
+        shards.append(shard)
+    before = [shard.read_bytes() for shard in shards]
+
+    merged = calipack.merge_shards(tmp_path, shards)
+    entries = {e.name: e for e in calipack.load_index(merged)}
+    assert sorted(entries) == ["a.cali", "b.cali", "c.cali", "x.cali"]
+    assert calipack.read_entry_bytes(merged, entries["x.cali"]) == serialize_cali(
+        make_profile("x", 2.0)
+    )
+    assert [shard.read_bytes() for shard in shards] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [calipack.ARCHIVE_NAME] + [shard.name for shard in shards]
+    )
+
+
 def test_merged_archive_is_byte_stable_across_creation_order(tmp_path):
     """The merged archive is a pure function of the entry set: shuffling
     the order segments were created (and hence their mtimes and the

@@ -18,7 +18,6 @@ import pytest
 
 from repro.caliper.cali import serialize_cali
 from repro.cpusim.counters import slot_counters
-from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.gpusim.ncu import ncu_counters
 from repro.machines.model import MachineKind
 from repro.machines.registry import list_machines
@@ -235,27 +234,3 @@ def test_golden_campaign_archive_is_byte_identical(tmp_path, mode):
     assert result.report.clean
     digest = hashlib.sha256((tmp_path / "campaign.calipack").read_bytes())
     assert digest.hexdigest() == GOLDEN_ARCHIVE_SHA256
-
-
-# --------------------------------------------------- serialize once per cell
-def test_packed_cell_hands_back_the_sealed_bytes_it_wrote(tmp_path):
-    from repro.caliper.calipack import ArchiveSink
-
-    params = _one_kernel_params(trials=1, pack=True, output_dir=str(tmp_path))
-    executor = SuiteExecutor(params)
-    cell = executor.build_cells()[0]
-    executor.profile_sink = ArchiveSink(tmp_path / "a.calipack")
-    outcome = executor.run_cell(cell, write_files=True)
-    assert outcome.payload == serialize_cali(outcome.profile)
-
-    # A corrupt-CRC entry is not reusable: the caller reserializes.
-    faults = FaultInjector([FaultSpec(FaultKind.FOOTER_CORRUPTION, path=cell.fname)])
-    corrupt = SuiteExecutor(params, injector=faults)
-    corrupt.profile_sink = ArchiveSink(tmp_path / "b.calipack")
-    assert corrupt.run_cell(cell, write_files=True).payload is None
-    executor.profile_sink.close()
-    corrupt.profile_sink.close()
-
-    # Loose files have no sink bytes to reuse.
-    loose = SuiteExecutor(_one_kernel_params(trials=1, output_dir=str(tmp_path)))
-    assert loose.run_cell(cell, write_files=True).payload is None

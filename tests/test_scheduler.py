@@ -1,18 +1,17 @@
-"""Cost-model-guided campaign scheduling: LPT, batching, shm transport.
+"""Cost-model-guided campaign scheduling: LPT and batching.
 
 The scheduler may change *when* cells run, never *what* they produce:
 the supervised determinism tests assert identical manifests (modulo the
 measured wall times) and byte-identical packed archives across every
-combination of ``--schedule``, ``--batch-cells``, and ``--no-shm``. The
-unit layers — cost model, ready heap, batch planner, shm ring — are
-pure functions of their inputs and are tested as such.
+combination of ``--schedule`` and ``--batch-cells``. The unit layers —
+cost model, ready heap, batch planner — are pure functions of their
+inputs and are tested as such.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import time
 
 import pytest
@@ -32,11 +31,8 @@ from repro.suite.schedule import (
     plan_batch,
     resolve_batch_cap,
 )
-from repro.suite.shm_transport import ShmRing, create_ring
 from repro.suite.supervisor import CampaignSupervisor
 from repro.suite.worker import CellTask
-
-_CTX = multiprocessing.get_context("fork")
 
 
 # ------------------------------------------------------------- cell keys
@@ -311,51 +307,17 @@ def test_run_params_validate_scheduling_knobs():
     # shard-map adoption survive knob changes
     base = RunParams().fingerprint()
     assert RunParams(
-        schedule="fifo", batch_cells=4, shm=False, cost_from="x.json"
+        schedule="fifo", batch_cells=4, cost_from="x.json"
     ).fingerprint() == base
 
 
-# --------------------------------------------------------------- shm ring
-def test_shm_ring_roundtrips_payloads():
-    ring = create_ring(_CTX, slot_count=2, slot_size=64)
-    assert ring is not None
-    try:
-        payload = b"x" * 40
-        slot = ring.try_write(payload)
-        assert slot is not None
-        assert ring.read(slot) == payload
-        # the slot was recycled: both slots are writable again
-        slots = [ring.try_write(b"a"), ring.try_write(b"b")]
-        assert None not in slots
-    finally:
-        ring.close()
-
-
-def test_shm_ring_oversize_and_exhaustion_fall_back_to_none():
-    ring = ShmRing(_CTX, slot_count=1, slot_size=64)
-    try:
-        assert ring.try_write(b"y" * 100) is None  # oversize
-        slot = ring.try_write(b"y")
-        assert slot is not None
-        # the only slot is taken: exhaustion degrades, never deadlocks
-        assert ring.try_write(b"z", timeout=0.01) is None
-        ring.release(slot)
-        assert ring.try_write(b"z", timeout=0.01) is not None
-    finally:
-        ring.close()
-
-
-def test_shm_ring_detects_corruption():
-    ring = ShmRing(_CTX, slot_count=1, slot_size=64)
-    try:
-        slot = ring.try_write(b"precious bytes")
-        offset = slot * ring.slot_size + 8  # first payload byte
-        ring._shm.buf[offset] ^= 0xFF
-        assert ring.read(slot) is None  # CRC mismatch -> no payload
-        # ... but the slot came back to the free list
-        assert ring.try_write(b"again", timeout=0.01) is not None
-    finally:
-        ring.close()
+def test_run_params_accept_and_ignore_shm():
+    """``shm=`` is an ignored init-only argument: callers that still pass
+    it keep working, and ``dataclasses.replace`` copies round-trip."""
+    params = RunParams(shm=False, workers=2)
+    assert "shm" not in {f.name for f in dataclasses.fields(params)}
+    assert params == RunParams(workers=2)
+    assert dataclasses.replace(params, workers=1) == RunParams(workers=1)
 
 
 # -------------------------------------------- supervised loop + determinism
@@ -393,16 +355,16 @@ def _manifest_modulo_elapsed(outdir):
 
 
 SCHEDULER_SETTINGS = [
-    ("lpt_auto_shm", dict(schedule="lpt", batch_cells="auto", shm=True)),
-    ("lpt_batch3_noshm", dict(schedule="lpt", batch_cells=3, shm=False)),
-    ("fifo_solo_noshm", dict(schedule="fifo", batch_cells=1, shm=False)),
-    ("fifo_auto_shm", dict(schedule="fifo", batch_cells="auto", shm=True)),
+    ("lpt_auto", dict(schedule="lpt", batch_cells="auto")),
+    ("lpt_batch3", dict(schedule="lpt", batch_cells=3)),
+    ("fifo_solo", dict(schedule="fifo", batch_cells=1)),
+    ("fifo_auto", dict(schedule="fifo", batch_cells="auto")),
 ]
 
 
 def test_scheduler_knobs_never_change_campaign_outputs(tmp_path):
     """Satellite: bit-identical merged archives and identical manifests
-    (modulo measured wall times) across schedule/batching/shm settings."""
+    (modulo measured wall times) across schedule/batching settings."""
     archives = {}
     manifests = {}
     for label, knobs in SCHEDULER_SETTINGS:
@@ -413,8 +375,8 @@ def test_scheduler_knobs_never_change_campaign_outputs(tmp_path):
         assert result.report.clean
         archives[label] = (outdir / "campaign.calipack").read_bytes()
         manifests[label] = _manifest_modulo_elapsed(outdir)
-    baseline_archive = archives["fifo_solo_noshm"]  # the seed path
-    baseline_manifest = manifests["fifo_solo_noshm"]
+    baseline_archive = archives["fifo_solo"]  # the seed path
+    baseline_manifest = manifests["fifo_solo"]
     for label, _ in SCHEDULER_SETTINGS:
         assert archives[label] == baseline_archive, label
         assert manifests[label] == baseline_manifest, label
@@ -424,12 +386,12 @@ def test_scheduler_knobs_survive_resume_fingerprint(tmp_path):
     """A campaign started under one scheduler setting resumes under
     another: the knobs are excluded from the campaign fingerprint."""
     first = SuiteExecutor(
-        _campaign_params(tmp_path, schedule="fifo", batch_cells=1, shm=False)
+        _campaign_params(tmp_path, schedule="fifo", batch_cells=1)
     ).run(write_files=True)
     assert first.report.clean
     again = SuiteExecutor(
         _campaign_params(
-            tmp_path, resume=True, schedule="lpt", batch_cells="auto", shm=True
+            tmp_path, resume=True, schedule="lpt", batch_cells="auto"
         )
     ).run(write_files=True)
     assert again.report.cell_counts() == {"skipped": 4}

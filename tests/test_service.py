@@ -133,7 +133,7 @@ def test_spec_validation_rejects_unknown_keys_and_bad_values():
         params_from_spec(_spec(not_a_knob=1), "/tmp/x")
     with pytest.raises(JobError, match="invalid job spec"):
         params_from_spec(_spec(trials=0), "/tmp/x")
-    # shards force pack=True: the merge tree needs archives.
+    # shards force pack=True: the shard merge needs archives.
     params = params_from_spec(_spec(shards=2, workers=2), "/tmp/x")
     assert params.pack is True
 

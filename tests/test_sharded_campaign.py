@@ -306,6 +306,19 @@ def test_fsck_recurses_into_shards_and_quarantines_orphan_dirs(tmp_path):
     assert invariants.check_shard_campaign(_expected_keys(params), tmp_path) == []
 
 
+def test_fsck_sweeps_merge_scratch_left_by_older_versions(tmp_path):
+    SuiteExecutor(_params(tmp_path)).run(write_files=True)
+    merged = _archive_bytes(tmp_path)
+    scratch = tmp_path / ".merge-scratch"
+    scratch.mkdir()
+    (scratch / "level0-0.calipack").write_bytes(b"stale intermediate")
+
+    report = fsck_directory(tmp_path)
+    assert not scratch.exists()
+    assert "stale merge scratch removed" in report.notes
+    assert _archive_bytes(tmp_path) == merged
+
+
 def test_fsck_backs_up_unreadable_shard_map(tmp_path):
     SuiteExecutor(_params(tmp_path)).run(write_files=True)
     (tmp_path / "shard_map.json").write_text("{ torn")

@@ -65,6 +65,32 @@ def test_parallel_matches_serial_cell_set(tmp_path):
     )
 
 
+def test_supervised_profiles_are_delivered_in_full(tmp_path):
+    """Every ``ok`` cell's profile crosses the result queue intact: one
+    in-memory profile per cell, each serializing to exactly the bytes
+    its worker archived."""
+    from repro.caliper.cali import serialize_cali
+    from repro.caliper.calipack import load_entries, read_entry_bytes, split_member_ref
+
+    params = _params(
+        tmp_path,
+        machines=("SPR-DDR", "P9-V100"),
+        variants=("Base_Seq", "RAJA_Seq", "RAJA_CUDA"),
+        kernels=("Basic_DAXPY", "Stream_TRIAD", "Apps_ENERGY"),
+        pack=True,
+    )
+    result = SuiteExecutor(params).run(write_files=True)
+    assert result.report.clean
+    ok = result.report.cell_counts()["ok"]
+    assert len(result.profiles) == len(result.cali_paths) == ok
+    archive = tmp_path / "campaign.calipack"
+    entries = {e.name: e for e in load_entries(archive)}
+    assert len(entries) == ok
+    for profile, ref in zip(result.profiles, result.cali_paths):
+        _, name = split_member_ref(str(ref))
+        assert serialize_cali(profile) == read_entry_bytes(archive, entries[name])
+
+
 def test_worker_crash_costs_one_attempt_not_the_campaign(tmp_path):
     """Acceptance: a worker_crash on one cell of a --workers 4 campaign
     completes with the crashed cell retried and the manifest all ok."""
