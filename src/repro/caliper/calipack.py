@@ -703,29 +703,35 @@ def _rewrite_manifest_refs(directory: Path, archive: Path, pack: bool) -> None:
     """Point manifest ``file`` fields at the archive (or back at files)."""
     from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
 
-    if not (directory / MANIFEST_NAME).exists():
-        return
     try:
-        fingerprint = json.loads(
-            (directory / MANIFEST_NAME).read_text()
-        ).get("fingerprint", {})
+        manifest = CampaignManifest.read(directory / MANIFEST_NAME)
     except (OSError, ValueError):
         return
-    manifest = CampaignManifest.load_or_create(directory, fingerprint)
+    if manifest is None:
+        return
     changed = False
-    for entry in manifest.cells.values():
+    for key, entry in manifest.cells.items():
         file = entry.get("file")
         if not file:
             continue
         ref = split_member_ref(file)
         if pack and ref is None:
-            entry["file"] = member_ref(archive, Path(file).name)
-            changed = True
+            file = member_ref(archive, Path(file).name)
         elif not pack and ref is not None:
-            entry["file"] = str(directory / ref[1])
-            changed = True
+            file = str(directory / ref[1])
+        else:
+            continue
+        manifest.record(
+            key,
+            entry.get("status"),
+            file=file,
+            failed_kernels=entry.get("failed_kernels"),
+            elapsed_s=entry.get("elapsed_s"),
+            rerun_reason=entry.get("rerun_reason"),
+        )
+        changed = True
     if changed:
-        manifest.save()
+        manifest.compact()
 
 
 def _natural_key(name: str) -> tuple:

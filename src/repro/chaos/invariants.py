@@ -48,14 +48,13 @@ invariant holds. The checks only ever *read* the campaign directory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.caliper import calipack
 from repro.caliper.cali import STATUS_OK, sealed_crc32, verify_cali
 from repro.suite.fsck import QUARANTINE_DIR
-from repro.suite.manifest import MANIFEST_NAME
+from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
 
 #: metric columns that exist only under real execution and are measured
 #: (wall clock), hence legitimately differ between two correct runs
@@ -117,29 +116,21 @@ def snapshot_store(directory: str | Path) -> StoreSnapshot:
                 continue
             if status == STATUS_OK:
                 snap.profiles[entry.name] = entry.crc_hex
-    manifest_path = directory / MANIFEST_NAME
-    if manifest_path.exists():
-        try:
-            cells = json.loads(manifest_path.read_text()).get("cells", {})
-        except (OSError, ValueError):
-            cells = {}
-        snap.ok_cells = {
-            key
-            for key, cell in cells.items()
-            if isinstance(cell, dict) and cell.get("status") == "ok"
-        }
+    snap.ok_cells = {
+        key
+        for key, cell in (_manifest_cells(directory) or {}).items()
+        if isinstance(cell, dict) and cell.get("status") == "ok"
+    }
     return snap
 
 
 def _manifest_cells(directory: Path) -> dict[str, dict] | None:
-    path = directory / MANIFEST_NAME
-    if not path.exists():
-        return None
+    """The manifest's cells, ledger replayed; None if missing/unreadable."""
     try:
-        cells = json.loads(path.read_text()).get("cells", {})
+        manifest = CampaignManifest.read(directory / MANIFEST_NAME)
     except (OSError, ValueError):
         return None
-    return cells if isinstance(cells, dict) else None
+    return manifest.cells if manifest is not None else None
 
 
 # ------------------------------------------------------------------ checks

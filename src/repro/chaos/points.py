@@ -157,7 +157,14 @@ REGISTERED_POINTS: dict[str, PointSpec] = {
             "manifest.pre-save",
             modes=("serial", "supervised", "sharded"),
             description="manifest checkpoint: cell completed, ledger "
-            "not yet rewritten",
+            "not yet appended",
+        ),
+        PointSpec(
+            "manifest.mid-append",
+            modes=("serial", "supervised", "sharded"),
+            torn=True,
+            description="manifest checkpoint: ledger lines written, not "
+            "yet fsynced (torn: partial last line)",
         ),
         # ---- suite/refchecksums.py: the Base_Seq sidecar --------------
         PointSpec(

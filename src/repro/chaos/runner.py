@@ -956,13 +956,14 @@ class ChaosRunner:
     def _check_target_atomicity(self, outdir: Path) -> list[str]:
         """No durable *target* may ever be left torn by a crash.
 
-        In-flight state lives in tmp siblings and unsealed archive tails
-        — both are recoverable. A loose ``.cali`` under its final name
-        that does not verify, or a manifest that does not parse, means a
-        write was not atomic.
+        In-flight state lives in tmp siblings, unsealed archive tails
+        and the manifest ledger's last line — all recoverable. A loose
+        ``.cali`` under its final name that does not verify, a manifest
+        snapshot that does not parse, or an undecodable ledger line
+        before the last one means a write was not atomic.
         """
         from repro.caliper.cali import STATUS_OK, verify_cali
-        from repro.suite.manifest import MANIFEST_NAME
+        from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
 
         violations = []
         manifests = [outdir / MANIFEST_NAME]
@@ -979,14 +980,19 @@ class ChaosRunner:
                 for shard_dir in sorted(shard_root.iterdir())
                 if shard_dir.is_dir()
             ]
-        for manifest in manifests:
-            if not manifest.exists():
-                continue
+        for path in manifests:
             try:
-                json.loads(manifest.read_text())
+                manifest = CampaignManifest.read(path)
             except ValueError as exc:
                 violations.append(
-                    f"post-crash: manifest {manifest.name} torn: {exc}"
+                    f"post-crash: manifest {path.name} torn: {exc}"
+                )
+                continue
+            if manifest is not None and manifest.torn_lines > 1:
+                violations.append(
+                    f"post-crash: ledger {manifest.ledger_path.name} has "
+                    f"{manifest.torn_lines} undecodable lines; only the "
+                    "last may be torn"
                 )
         for path in sorted(outdir.glob("*.cali")):
             status, detail = verify_cali(path)

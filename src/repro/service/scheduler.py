@@ -60,6 +60,7 @@ from repro.service.jobstore import (
     params_from_spec,
 )
 from repro.suite.errors import CampaignLockedError
+from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
 from repro.util.diskstat import STATE_HARD, DiskWatermarks
 
 
@@ -251,19 +252,17 @@ class JobScheduler:
 
     def _record_progress(self, record: JobRecord, force: bool = False) -> None:
         """Heartbeat one RUNNING job's progress from its campaign manifest."""
-        import json
-
         now = time.monotonic()
         last = self._last_progress.get(record.job_id, 0.0)
         if not force and now - last < self.config.progress_interval:
             return
-        manifest = (
-            self.store.campaign_dir(record.job_id) / "campaign_manifest.json"
-        )
         try:
-            cells = json.loads(manifest.read_text()).get("cells", {})
+            manifest = CampaignManifest.read(
+                self.store.campaign_dir(record.job_id) / MANIFEST_NAME
+            )
         except (OSError, ValueError):
-            cells = {}
+            manifest = None
+        cells = manifest.cells if manifest is not None else {}
         ok = sum(1 for c in cells.values() if c.get("status") == "ok")
         failed = len(cells) - ok
         progress = {

@@ -577,13 +577,13 @@ class ShardCoordinator:
     def _shard_cells(self, index: int) -> dict[str, dict]:
         shard_dir = shard_path(self.params.output_dir, index)
         try:
-            cells = json.loads(
-                (shard_dir / MANIFEST_NAME).read_text()
-            ).get("cells", {})
+            manifest = CampaignManifest.read(shard_dir / MANIFEST_NAME)
         except (OSError, ValueError):
             return {}
+        if manifest is None:
+            return {}
         return {
-            k: v for k, v in cells.items() if isinstance(v, dict)
+            k: v for k, v in manifest.cells.items() if isinstance(v, dict)
         }
 
     # ----------------------------------------------------------------- merge
@@ -687,6 +687,7 @@ class ShardCoordinator:
                 ),
             )
         manifest.save()
+        manifest.compact()
 
 
 # ------------------------------------------------------------ shard status
@@ -811,9 +812,7 @@ def _campaign_cost_model(out_dir: Path):
     manifest_path = out_dir / MANIFEST_NAME
     measured = load_measured_costs(manifest_path)
     try:
-        fingerprint = dict(
-            json.loads(manifest_path.read_text()).get("fingerprint", {})
-        )
+        fingerprint = dict(CampaignManifest.read(manifest_path).fingerprint)
         params = RunParams(
             problem_size=int(fingerprint["problem_size"]),
             reps=int(fingerprint.get("reps", 1)),

@@ -40,9 +40,9 @@ key has one.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from repro.suite.manifest import CampaignManifest
 from repro.suite.report import cell_key
 
 #: nominal host streaming throughput for the execution term (bytes/s).
@@ -87,15 +87,18 @@ def load_measured_costs(manifest_path: str | Path) -> dict[str, float]:
     """Measured per-cell wall times from a prior campaign's manifest.
 
     Returns ``{cell key: elapsed seconds}`` for every cell whose entry
-    carries ``elapsed_s``; unreadable or old-format manifests yield an
-    empty dict — the caller falls back to the analytic estimate.
+    carries ``elapsed_s``, including cells only an uncompacted ledger
+    records; unreadable or old-format manifests yield an empty dict —
+    the caller falls back to the analytic estimate.
     """
     try:
-        payload = json.loads(Path(manifest_path).read_text())
+        manifest = CampaignManifest.read(manifest_path)
     except (OSError, ValueError):
         return {}
+    if manifest is None:
+        return {}
     out: dict[str, float] = {}
-    for key, entry in dict(payload.get("cells", {})).items():
+    for key, entry in manifest.cells.items():
         if not isinstance(entry, dict):
             continue
         elapsed = entry.get("elapsed_s")

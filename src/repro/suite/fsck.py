@@ -25,7 +25,10 @@ classifies every profile:
 Damaged and orphaned profiles are moved to a ``quarantine/`` subdirectory
 (never deleted — forensics first), and damaged cells are demoted in the
 manifest so ``--resume`` re-runs exactly them: ``fsck`` + ``run --resume``
-heals a damaged campaign.
+heals a damaged campaign. The manifest is read through its one
+reader, so cells recorded only in an uncompacted ledger count; a torn
+ledger tail is reported, and a repairing pass compacts the ledger,
+which drops the tail.
 
 Packed campaigns are covered too: every entry of the campaign's
 ``.calipack`` archive(s) — including per-worker segments stranded by a
@@ -206,19 +209,27 @@ def fsck_directory(
     """
     directory = Path(output_dir)
     report = FsckReport(directory=directory)
-    manifest: CampaignManifest | None = None
     known: dict[str, str] = {}
-    if (directory / MANIFEST_NAME).exists():
-        # fsck audits whatever configuration the manifest records: adopt
-        # its own fingerprint so loading (and saving) never warns about a
-        # configuration change fsck did not make.
-        try:
-            recorded = json.loads(
-                (directory / MANIFEST_NAME).read_text()
-            ).get("fingerprint", {})
-        except (OSError, ValueError):
-            recorded = {}
-        manifest = CampaignManifest.load_or_create(directory, recorded)
+    try:
+        manifest = CampaignManifest.read(directory / MANIFEST_NAME)
+    except (OSError, ValueError):
+        # Unreadable snapshot: audit against an empty ledger; a repairing
+        # pass backs the file up below.
+        manifest = CampaignManifest(path=directory / MANIFEST_NAME)
+    if manifest is not None:
+        if manifest.torn_lines:
+            report.notes.append(
+                f"campaign ledger: torn tail of {manifest.torn_lines} "
+                "line(s) dropped (the in-flight cell re-runs on --resume)"
+            )
+        if mark_rerun:
+            # fsck audits whatever configuration the manifest records:
+            # adopt its own fingerprint so loading never warns about a
+            # configuration change fsck did not make. Loading compacts a
+            # ledger left behind, which cuts its torn tail.
+            manifest = CampaignManifest.load_or_create(
+                directory, manifest.fingerprint
+            )
         known = _cell_by_file(manifest)
         report.manifest_found = True
 
@@ -688,5 +699,6 @@ def _finish(
                 report.rerun_cells.append(check.cell)
         if report.rerun_cells:
             manifest.save()
+            manifest.compact()
 
     return report

@@ -8,7 +8,8 @@ campaign manifest. And every runner that completes closes the same way:
 fold remaining segments and rewrite the packed archive into its
 canonical, name-sorted form, so the final ``campaign.calipack`` is a
 pure function of its entry set — the property that makes serial,
-supervised, and sharded runs of one campaign byte-identical.
+supervised, and sharded runs of one campaign byte-identical — then
+compact the manifest's ledger into its snapshot.
 
 :class:`CampaignSession` keeps that protocol in one place so the
 runners cannot drift apart.
@@ -60,22 +61,31 @@ class CampaignSession:
         return self
 
     def finalize(self) -> None:
-        """Seal a completed run: fold segments, canonicalize the archive.
+        """Seal a completed run: fold segments, compact the manifest.
 
-        Idempotent — re-finalizing an already-canonical archive rewrites
-        it to the same bytes — so a crash between finalize and the
-        caller's last manifest save just repeats this step on resume.
+        The packed archive is sealed by exactly one canonical rewrite:
+        the segment merge when there were segments (it already writes
+        the name-sorted form), else a canonicalize of the archive the
+        serial loop appended to. Idempotent — an already-canonical
+        archive rewrites to the same bytes and compaction replays to the
+        same manifest — so a crash anywhere in here just repeats this
+        step on resume.
         """
-        if not (self.write_files and self.params.pack):
+        if not self.write_files:
             return
-        from repro.caliper.calipack import (
-            ARCHIVE_NAME,
-            canonicalize_archive,
-            merge_segments,
-        )
+        if self.params.pack:
+            from repro.caliper.calipack import (
+                ARCHIVE_NAME,
+                canonicalize_archive,
+                merge_segments,
+            )
 
-        merge_segments(self.params.output_dir)
-        canonicalize_archive(Path(self.params.output_dir) / ARCHIVE_NAME)
+            if merge_segments(self.params.output_dir) is None:
+                canonicalize_archive(
+                    Path(self.params.output_dir) / ARCHIVE_NAME
+                )
+        if self.manifest is not None:
+            self.manifest.compact()
 
     def close(self) -> None:
         if self.lock is not None:

@@ -295,16 +295,15 @@ def shard_progress(
     output_dir: str | Path, index: int, assigned_keys: list[str]
 ) -> ShardProgress:
     """Read one shard's manifest + lease into a :class:`ShardProgress`."""
-    from repro.suite.manifest import MANIFEST_NAME
+    from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
 
     shard_dir = shard_path(output_dir, index)
     progress = ShardProgress(index=index, assigned=len(assigned_keys))
     try:
-        cells = json.loads(
-            (shard_dir / MANIFEST_NAME).read_text()
-        ).get("cells", {})
+        manifest = CampaignManifest.read(shard_dir / MANIFEST_NAME)
     except (OSError, ValueError):
-        cells = {}
+        manifest = None
+    cells = manifest.cells if manifest is not None else {}
     assigned = set(assigned_keys)
     for key, entry in cells.items():
         if key not in assigned or not isinstance(entry, dict):

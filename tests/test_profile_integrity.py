@@ -238,7 +238,7 @@ def test_manifest_save_is_atomic_no_tmp_left_behind(tmp_path):
     manifest = CampaignManifest.load_or_create(tmp_path, {"v": 1})
     manifest.record("cell", "ok", file="x.cali")
     manifest.save()
-    assert json.loads((tmp_path / MANIFEST_NAME).read_text())["cells"]["cell"][
+    assert CampaignManifest.read(tmp_path / MANIFEST_NAME).cells["cell"][
         "status"
     ] == "ok"
     assert not list(tmp_path.glob("*.tmp"))
