@@ -64,7 +64,6 @@ from repro.suite.supervisor import CampaignSupervisor
 from repro.suite.worker import (
     WORKER_CRASH_EXITCODE,
     CellBatch,
-    CellResult,
     CellTask,
 )
 from repro.suite.summary import group_summary, suite_inventory
@@ -113,7 +112,6 @@ __all__ = [
     "CampaignLockedError",
     "CampaignSupervisor",
     "CellOutcome",
-    "CellResult",
     "CellTask",
     "FsckReport",
     "fsck_directory",

@@ -50,7 +50,6 @@ import json
 import multiprocessing
 import os
 import signal
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -60,26 +59,21 @@ from typing import Any
 from repro.caliper.calipack import ARCHIVE_NAME, member_ref, merge_shards, split_member_ref
 from repro.chaos.points import crash_point
 from repro.cli.exitcodes import CAMPAIGN_LOCKED
-from repro.faults import FaultInjector, active_injector
 from repro.suite.executor import ModelPlan
-from repro.suite.manifest import MANIFEST_NAME, CampaignLock, CampaignManifest
-from repro.suite.report import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    KernelRunRecord,
-    RunReport,
-)
+from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
+from repro.suite.report import STATUS_FAILED, STATUS_OK, KernelRunRecord
 from repro.suite.run_params import RunParams
+from repro.suite.session import CampaignSession
 from repro.suite.shard import (
     SHARD_DIR,
-    cell_spec,
     lease_age,
     read_lease,
     shard_dir_name,
     shard_main,
     shard_path,
 )
+from repro.suite.supervisor import _install_signal_handlers, _kill, _mp_context
+from repro.suite.worker import CellTask
 from repro.util.fsio import write_durable_text
 
 MAP_NAME = "shard_map.json"
@@ -96,14 +90,6 @@ LOCK_RETRY_DELAY_S = 0.2
 
 #: coordinator supervision loop cadence
 _POLL_S = 0.05
-
-
-def _mp_context():
-    """Prefer fork (cheap, Linux default); fall back to spawn."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platform
-        return multiprocessing.get_context("spawn")
 
 
 # -------------------------------------------------------------- shard map
@@ -244,31 +230,15 @@ class ShardCoordinator:
     """Partition, spawn, monitor, heal, merge — one sharded campaign."""
 
     def __init__(
-        self,
-        params: RunParams,
-        injector: FaultInjector | None = None,
-        model_plan: ModelPlan | None = None,
+        self, params: RunParams, model_plan: ModelPlan | None = None
     ) -> None:
         if params.shards < 1:
             raise ValueError("ShardCoordinator requires params.shards >= 1")
         self.params = params
-        self.injector = injector if injector is not None else active_injector()
         #: filled by the LPT cut's cost model; shards inherit it on fork
         self.model_plan = model_plan if model_plan is not None else ModelPlan()
         self._ctx = _mp_context()
         self._shutdown = False
-
-    # ------------------------------------------------------------- signals
-    def _install_signal_handlers(self):
-        if threading.current_thread() is not threading.main_thread():
-            return []
-        previous = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous.append((sig, signal.signal(sig, self._on_signal)))
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        return previous
 
     def _on_signal(self, signum, frame) -> None:
         self._shutdown = True
@@ -276,32 +246,18 @@ class ShardCoordinator:
     # ------------------------------------------------------------------ run
     def run(self, cells, write_files: bool = True):
         """Execute ``cells`` across the shards; returns a RunResult."""
-        from repro.suite.executor import RunResult
-
         if not write_files:
             raise ValueError(
                 "sharded campaigns require write_files=True: shards are "
                 "shared-nothing directories merged on disk"
             )
-        params = self.params
-        report = RunReport()
-        out_dir = Path(params.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        lock = CampaignLock.acquire(out_dir)
+        out_dir = Path(self.params.output_dir)
+        session = CampaignSession(self.params, write_files).open()
         handles: dict[int, _ShardHandle] = {}
-        previous_handlers = self._install_signal_handlers()
+        previous_handlers = _install_signal_handlers(self._on_signal)
         try:
-            manifest = CampaignManifest.load_or_create(
-                out_dir, params.fingerprint()
-            )
             cells_by_key = {cell.key: cell for cell in cells}
-            pending: list[str] = []
-            for cell in cells:
-                if params.resume and manifest.is_complete(cell.key):
-                    report.mark_cell(cell.key, STATUS_SKIPPED)
-                else:
-                    pending.append(cell.key)
-
+            pending = [cell.key for cell in session.pending(cells)]
             shard_map = self._load_or_partition(out_dir, pending)
             for index in range(shard_map.shards):
                 keys = [k for k in shard_map.keys_for(index) if k in cells_by_key]
@@ -315,22 +271,20 @@ class ShardCoordinator:
             if any(h.active for h in handles.values()):
                 self._supervise(handles, shard_map, cells_by_key, write_files)
             self._merge(out_dir, shard_map, handles)
-            self._compose(
-                manifest, report, cells, cells_by_key, pending, shard_map, handles
-            )
+            self._compose(session, cells_by_key, pending, handles)
         finally:
             for sig, handler in previous_handlers:
                 signal.signal(sig, handler)
             for handle in handles.values():
-                self._kill(handle)
-            lock.release()
-        report.interrupted = self._shutdown
-        paths = [
+                _kill(handle.process)
+            session.close()
+        # Every file the campaign holds, resumed cells' included.
+        session.paths.extend(
             Path(entry["file"])
-            for key, entry in manifest.cells.items()
+            for key, entry in session.manifest.cells.items()
             if key in cells_by_key and entry.get("file")
-        ]
-        return RunResult(profiles=[], cali_paths=paths, report=report)
+        )
+        return session.result(interrupted=self._shutdown)
 
     # ---------------------------------------------------------- partitioning
     def _load_or_partition(self, out_dir: Path, pending: list[str]) -> ShardMap:
@@ -406,12 +360,14 @@ class ShardCoordinator:
     # ------------------------------------------------------------- lifecycle
     def _spawn(self, handle: _ShardHandle, cells_by_key, write_files: bool) -> None:
         params = self.params
-        specs = [cell_spec(cells_by_key[k]) for k in handle.keys if k in cells_by_key]
+        tasks = [
+            CellTask.of(cells_by_key[k]) for k in handle.keys if k in cells_by_key
+        ]
         resume = handle.resume or params.resume
         handle.process = self._ctx.Process(
             target=shard_main,
             args=(
-                handle.index, params, specs, write_files, resume, os.getpid(),
+                handle.index, params, tasks, write_files, resume, os.getpid(),
                 self.model_plan,
             ),
             name=f"campaign-shard-{handle.index}",
@@ -423,26 +379,9 @@ class ShardCoordinator:
         handle.spawned_at = time.monotonic()
         handle.dirty = False
 
-    @staticmethod
-    def _kill(handle: _ShardHandle) -> None:
-        process = handle.process
-        if process is None:
-            return
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=2.0)
-        if process.is_alive():  # pragma: no cover - SIGTERM ignored
-            process.kill()
-            process.join(timeout=2.0)
-
     def _supervise(self, handles, shard_map, cells_by_key, write_files) -> None:
         """The healing loop: reap, respawn, retire, reassign."""
         params = self.params
-        policy = params.retry_policy()
-        backoffs = {
-            h.index: list(policy.delays(salt=f"shard-{h.index}"))
-            for h in handles.values()
-        }
 
         while not self._shutdown:
             now = time.monotonic()
@@ -462,9 +401,9 @@ class ShardCoordinator:
                     # Reaped but not yet acted on: a coordinator killed
                     # here must re-derive the shard's fate on resume.
                     crash_point("shard.post-shard-exit", path=shard_map.path)
-                    self._reap(handle, code, handles, shard_map, backoffs)
+                    self._reap(handle, code, handles, shard_map)
                 elif self._stale(handle, now):
-                    self._kill(handle)
+                    _kill(process)
                     handle.process = None
                     self._heal(
                         handle,
@@ -472,7 +411,6 @@ class ShardCoordinator:
                         f"({params.shard_lease_timeout:.3g}s)",
                         handles,
                         shard_map,
-                        backoffs,
                     )
             time.sleep(_POLL_S)
 
@@ -485,7 +423,7 @@ class ShardCoordinator:
             age = now - handle.spawned_at
         return age > self.params.shard_lease_timeout
 
-    def _reap(self, handle, code, handles, shard_map, backoffs) -> None:
+    def _reap(self, handle, code, handles, shard_map) -> None:
         if code == 0:
             if handle.dirty:
                 # Reassigned residue arrived while it ran: one more pass.
@@ -503,14 +441,10 @@ class ShardCoordinator:
             handle.ready_at = time.monotonic() + LOCK_RETRY_DELAY_S
             return
         self._heal(
-            handle,
-            f"shard process died (exit code {code})",
-            handles,
-            shard_map,
-            backoffs,
+            handle, f"shard process died (exit code {code})", handles, shard_map
         )
 
-    def _heal(self, handle, reason, handles, shard_map, backoffs) -> None:
+    def _heal(self, handle, reason, handles, shard_map) -> None:
         """fsck the shard, then respawn under the retry budget — or retire."""
         from repro.suite.fsck import fsck_directory
 
@@ -524,12 +458,7 @@ class ShardCoordinator:
         if handle.attempt >= policy.max_attempts:
             self._retire(handle, handles, shard_map)
             return
-        waits = backoffs[handle.index]
-        wait = (
-            waits[handle.attempt - 1]
-            if handle.attempt - 1 < len(waits)
-            else 0.0
-        )
+        wait = policy.delay(handle.attempt, salt=f"shard-{handle.index}")
         handle.attempt += 1
         handle.resume = True
         handle.ready_at = time.monotonic() + wait
@@ -602,9 +531,7 @@ class ShardCoordinator:
         ]
         merge_shards(out_dir, archives)
 
-    def _compose(
-        self, manifest, report, cells, cells_by_key, pending, shard_map, handles
-    ) -> None:
+    def _compose(self, session, cells_by_key, pending, handles) -> None:
         """Rebuild the campaign manifest and report from the shard truth.
 
         Member refs recorded by the shards are rewritten to point at the
@@ -613,6 +540,7 @@ class ShardCoordinator:
         Cells no shard could finish (every owner retired) are terminal
         failures: ``<shard unavailable>``.
         """
+        manifest, report = session.manifest, session.report
         root_archive = Path(self.params.output_dir) / ARCHIVE_NAME
         by_shard = {
             h.index: self._shard_cells(h.index) for h in handles.values()

@@ -24,7 +24,9 @@ watchdog, and cross-variant checksum verification against the Base_Seq
 reference when real execution is on. Outcomes land in a
 :class:`~repro.suite.report.RunReport`; completed cells are checkpointed
 to a campaign manifest so an interrupted sweep resumes where it stopped
-(``RunParams.resume``). ``RunParams.fail_fast`` restores abort-on-first-
+(``RunParams.resume``) — both through the
+:class:`~repro.suite.session.CampaignSession` every campaign loop
+shares. ``RunParams.fail_fast`` restores abort-on-first-
 error. Faults are plantable via :mod:`repro.faults` for testing.
 
 Trials of one (machine, variant, tuning) differ only in the noise on
@@ -37,13 +39,12 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import adiak
 from repro.caliper.annotation import CaliperSession
 from repro.caliper.cali import write_cali
-from repro.chaos.points import crash_point
 from repro.caliper.records import CaliProfile
 from repro.cpusim.counters import slot_counters
 from repro.faults import DeadlineClock, FaultInjector, FaultSite, active_injector
@@ -64,28 +65,17 @@ from repro.suite.errors import (
 )
 from repro.suite.kernel_base import KernelBase
 from repro.suite.registry import all_kernel_classes
-from repro.suite.session import CampaignSession
 from repro.suite.report import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_RETRIED,
-    STATUS_SKIPPED,
     KernelRunRecord,
-    RunReport,
     cell_key,
 )
 from repro.suite.run_params import TABLE3, RunParams
+from repro.suite.session import CampaignSession, CellOutcome, RunResult
 from repro.suite.state_pool import KernelStatePool
 from repro.suite.variants import Variant, get_variant
-
-
-@dataclass
-class RunResult:
-    """Executor output: profiles, written .cali paths, per-run outcomes."""
-
-    profiles: list[CaliProfile]
-    cali_paths: list[Path]
-    report: RunReport = field(default_factory=RunReport)
 
 
 @dataclass(frozen=True)
@@ -107,34 +97,6 @@ class _Cell:
         return cell_key(
             self.machine.shorthand, self.variant.name, self.tuning, self.trial
         )
-
-
-@dataclass
-class CellOutcome:
-    """Everything one cell's execution produced (serial or worker path)."""
-
-    cell_key: str
-    profile: CaliProfile
-    records: list[KernelRunRecord]
-    written: Path | None = None
-    write_error: str | None = None
-    #: measured wall time of the whole cell (kernels + profile write) —
-    #: recorded in the manifest to feed a later run's ``--cost-from``
-    elapsed_s: float | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.write_error is not None or any(
-            r.status == STATUS_FAILED for r in self.records
-        )
-
-    @property
-    def status(self) -> str:
-        return STATUS_FAILED if self.failed else STATUS_OK
-
-    @property
-    def failed_kernels(self) -> list[str]:
-        return [r.kernel for r in self.records if r.status == STATUS_FAILED]
 
 
 @dataclass(frozen=True)
@@ -319,11 +281,7 @@ class SuiteExecutor:
         if self.params.shards > 0 and write_files:
             from repro.suite.coordinator import ShardCoordinator
 
-            coordinator = ShardCoordinator(
-                self.params,
-                injector=self._active_injector(),
-                model_plan=self.model_plan,
-            )
+            coordinator = ShardCoordinator(self.params, model_plan=self.model_plan)
             return coordinator.run(cells, write_files)
         if self.params.workers > 1:
             from repro.suite.supervisor import CampaignSupervisor
@@ -339,11 +297,7 @@ class SuiteExecutor:
     # -------------------------------------------------------- campaign loop
     def _run_cells(self, cells: list[_Cell], write_files: bool) -> RunResult:
         params = self.params
-        report = RunReport()
-        profiles: list[CaliProfile] = []
-        paths: list[Path] = []
         session = CampaignSession(params, write_files).open()
-        manifest = session.manifest
         try:
             if write_files and params.pack and self.profile_sink is None:
                 from repro.caliper.calipack import ARCHIVE_NAME, ArchiveSink
@@ -355,35 +309,10 @@ class SuiteExecutor:
                 from repro.suite.refchecksums import ReferenceChecksumStore
 
                 self.refstore = ReferenceChecksumStore(params.output_dir)
-            for cell in cells:
-                if (
-                    params.resume
-                    and manifest is not None
-                    and manifest.is_complete(cell.key)
-                ):
-                    report.mark_cell(cell.key, STATUS_SKIPPED)
-                    continue
-                outcome = self.run_cell(cell, write_files)
-                profiles.append(outcome.profile)
-                if outcome.written is not None:
-                    paths.append(outcome.written)
-                for record in outcome.records:
-                    report.add(record)
-                report.mark_cell(cell.key, outcome.status)
-                if manifest is not None and write_files:
-                    manifest.record(
-                        cell.key,
-                        outcome.status,
-                        file=(
-                            str(outcome.written)
-                            if outcome.written is not None
-                            else None
-                        ),
-                        failed_kernels=outcome.failed_kernels,
-                        elapsed_s=outcome.elapsed_s,
-                    )
-                    manifest.save()
-                    crash_point("executor.post-cell", path=manifest.path)
+            for cell in session.pending(cells):
+                session.record(
+                    self.run_cell(cell, write_files), point="executor.post-cell"
+                )
             # The loop completed: seal the archive in canonical form so
             # every execution mode converges on the same bytes. The sink
             # must close first — finalize rewrites the file it holds open.
@@ -396,7 +325,7 @@ class SuiteExecutor:
                 self.profile_sink.close()
                 self.profile_sink = None
             session.close()
-        return RunResult(profiles=profiles, cali_paths=paths, report=report)
+        return session.result()
 
     # ----------------------------------------------------------- one cell
     def run_cell(self, cell: _Cell, write_files: bool) -> CellOutcome:
@@ -404,8 +333,8 @@ class SuiteExecutor:
 
         The shared primitive behind both the serial campaign loop and
         the supervised worker: everything the cell produced comes back
-        as a :class:`CellOutcome`; the caller owns report/manifest
-        bookkeeping.
+        as a :class:`CellOutcome` for the loop's
+        :meth:`CampaignSession.record`.
         """
         params = self.params
         cell_start = time.perf_counter()

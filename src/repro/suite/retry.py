@@ -7,10 +7,11 @@ The jitter stream is seeded so a replayed campaign backs off identically
 — determinism is what makes the fault-injection tests assertable.
 
 Each call site passes its own ``salt`` (the cell/kernel key) to
-``delays``: the stream seed is derived from ``seed ^ crc32(salt)``, so
-two cells failing at the same moment back off *differently* (no
-thundering-herd retries against a shared filesystem) while a replayed
-campaign still sees identical waits per site.
+``delays``, or to ``delay`` for one attempt's wait: the stream seed is
+derived from ``seed ^ crc32(salt)``, so two cells failing at the same
+moment back off *differently* (no thundering-herd retries against a
+shared filesystem) while a replayed campaign still sees identical waits
+per site.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import random
 import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 
 @dataclass(frozen=True)
@@ -60,3 +62,8 @@ class RetryPolicy:
         for attempt in range(self.max_attempts - 1):
             delay = min(self.base_delay * self.multiplier**attempt, self.max_delay)
             yield delay + (rng.uniform(0.0, self.jitter * delay) if self.jitter else 0.0)
+
+    def delay(self, attempt: int, salt: object = None) -> float:
+        """The wait after failed ``attempt`` (1-based) at one call site:
+        ``delays(salt)``'s entry for it, 0.0 past the last."""
+        return next(islice(self.delays(salt), attempt - 1, None), 0.0)

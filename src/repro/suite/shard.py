@@ -17,7 +17,8 @@ process supervision plus a final merge.
   coordinator can tell "busy" from "wedged", and that watches for
   re-parenting — a shard whose coordinator died exits with
   :data:`SHARD_ORPHANED` rather than running headless forever;
-* rebuilds its assigned cells from serialized specs and executes them
+* rebuilds its assigned cells from their
+  :class:`~repro.suite.worker.CellTask` wire form and executes them
   through the ordinary :class:`~repro.suite.executor.SuiteExecutor`
   (serial loop, or a supervised pool when ``workers > 1``), appending
   profiles to the shard archive with member refs that already point at
@@ -41,10 +42,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cli.exitcodes import CAMPAIGN_LOCKED, SHARD_ORPHANED, UNCLEAN_RUN
-from repro.machines.registry import get_machine
 from repro.suite.errors import CampaignLockedError
 from repro.suite.run_params import RunParams
-from repro.suite.variants import get_variant
+from repro.suite.worker import CellTask
 from repro.util.fsio import tmp_sibling
 
 #: subdirectory of the campaign output dir holding the shard dirs
@@ -71,38 +71,6 @@ def parse_shard_index(name: str) -> int | None:
         return None
     tail = name[len("shard-"):]
     return int(tail) if tail.isdigit() else None
-
-
-# ----------------------------------------------------------- cell specs
-#: a picklable cell: (machine, variant, block, trial, fname)
-CellSpec = tuple[str, str, int, int, str]
-
-
-def cell_spec(cell) -> CellSpec:
-    """Serialize an executor ``_Cell`` for transport to a shard process."""
-    return (
-        cell.machine.shorthand,
-        cell.variant.name,
-        cell.block,
-        cell.trial,
-        cell.fname,
-    )
-
-
-def rebuild_cells(specs: list[CellSpec]) -> list:
-    """Reconstitute executor cells from their serialized specs."""
-    from repro.suite.executor import _Cell
-
-    return [
-        _Cell(
-            machine=get_machine(machine),
-            variant=get_variant(variant),
-            block=block,
-            trial=trial,
-            fname=fname,
-        )
-        for machine, variant, block, trial, fname in specs
-    ]
 
 
 # ---------------------------------------------------------------- lease
@@ -207,7 +175,7 @@ class ShardLease(threading.Thread):
 def shard_main(
     index: int,
     params: RunParams,
-    specs: list[CellSpec],
+    tasks: list[CellTask],
     write_files: bool,
     resume: bool,
     coordinator_pid: int,
@@ -258,7 +226,7 @@ def shard_main(
         )
 
     try:
-        result = executor._execute(rebuild_cells(specs), write_files)
+        result = executor._execute([task.cell() for task in tasks], write_files)
     except CampaignLockedError:
         # A not-yet-reaped predecessor (or its orphan poll) still holds
         # the shard lock. Not a crash: the coordinator retries shortly

@@ -4,8 +4,9 @@ The serial executor made one *kernel* failure survivable; this module
 makes one *process* failure survivable. A campaign's (machine, variant,
 tuning, trial) cells fan out to a pool of ``multiprocessing`` workers
 (:mod:`repro.suite.worker`), and a single supervisor loop owns every
-piece of shared state — the manifest, the report, the retry budgets —
-so workers stay crash-only: they either deliver a result or die, and
+piece of shared state — the retry budgets here, the manifest and the
+report through its :class:`~repro.suite.session.CampaignSession` — so
+workers stay crash-only: they either deliver a result or die, and
 either way the campaign continues.
 
 Supervision model (the worker lifecycle state machine):
@@ -47,8 +48,9 @@ loop blocks on a single select-style wait over the result/heartbeat
 queues and worker sentinels — it wakes O(events), not O(elapsed/50ms).
 None of it changes what a campaign produces: results are keyed by cell
 and the packed archive is canonicalized, so outputs are byte-identical
-across every knob setting. Each :class:`~repro.suite.worker.CellResult`,
-profile included, crosses the result queue as one pickle: unpickling a
+across every knob setting. Each worker's
+``(worker_id,`` :class:`~repro.suite.session.CellOutcome` ``)``, profile
+included, crosses the result queue as one pickle: unpickling a
 region tree costs the supervisor less than re-parsing the profile's
 sealed ``.cali`` bytes would.
 The cost-model pass also fills the campaign's
@@ -66,9 +68,7 @@ import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.chaos.points import crash_point
 from repro.faults import FaultInjector, FaultSpec, active_injector
 from repro.suite.costmodel import CellCostModel
 from repro.suite.executor import ModelPlan
@@ -80,16 +80,10 @@ from repro.suite.schedule import (
     plan_batch,
     resolve_batch_cap,
 )
-from repro.suite.session import CampaignSession
-from repro.suite.report import (
-    STATUS_FAILED,
-    STATUS_RETRIED,
-    STATUS_SKIPPED,
-    KernelRunRecord,
-    RunReport,
-)
+from repro.suite.report import STATUS_FAILED, STATUS_RETRIED, KernelRunRecord
 from repro.suite.run_params import RunParams
-from repro.suite.worker import CellBatch, CellResult, CellTask, worker_main
+from repro.suite.session import CampaignSession, CellOutcome
+from repro.suite.worker import CellBatch, CellTask, worker_main
 
 
 def _mp_context():
@@ -98,6 +92,34 @@ def _mp_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platform
         return multiprocessing.get_context("spawn")
+
+
+def _install_signal_handlers(on_signal):
+    """Route SIGINT/SIGTERM to a drain flag (main thread only).
+
+    Returns the ``(signal, previous handler)`` pairs to restore.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return []
+    previous = []
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous.append((sig, signal.signal(sig, on_signal)))
+        except (ValueError, OSError):  # pragma: no cover
+            pass
+    return previous
+
+
+def _kill(process) -> None:
+    """Terminate a child process, escalating to SIGKILL (None: no-op)."""
+    if process is None:
+        return
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=2.0)
+    if process.is_alive():  # pragma: no cover - SIGTERM ignored
+        process.kill()
+        process.join(timeout=2.0)
 
 
 @dataclass
@@ -164,19 +186,6 @@ class CampaignSupervisor:
         self.loop_iterations = 0
         self.results_handled = 0
 
-    # ------------------------------------------------------------- signals
-    def _install_signal_handlers(self):
-        """Route SIGINT/SIGTERM to the drain flag (main thread only)."""
-        if threading.current_thread() is not threading.main_thread():
-            return []
-        previous = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                previous.append((sig, signal.signal(sig, self._on_signal)))
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        return previous
-
     def _on_signal(self, signum, frame) -> None:
         self._shutdown = True
 
@@ -206,46 +215,13 @@ class CampaignSupervisor:
         monitor.register(worker_id)
         return _WorkerHandle(worker_id, process, task_queue)
 
-    @staticmethod
-    def _kill(handle: _WorkerHandle) -> None:
-        process = handle.process
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=2.0)
-        if process.is_alive():  # pragma: no cover - SIGTERM ignored
-            process.kill()
-            process.join(timeout=2.0)
-
     # ------------------------------------------------------------------ run
     def run(self, cells, write_files: bool = False):
         """Execute ``cells`` on the pool; returns the executor's RunResult."""
-        from repro.suite.executor import RunResult
-
         params = self.params
-        report = RunReport()
-        profiles: list = []
-        paths: list[Path] = []
         session = CampaignSession(params, write_files).open()
-        manifest = session.manifest
         try:
-            pending: list[CellTask] = []
-            for cell in cells:
-                if (
-                    params.resume
-                    and manifest is not None
-                    and manifest.is_complete(cell.key)
-                ):
-                    report.mark_cell(cell.key, STATUS_SKIPPED)
-                    continue
-                pending.append(
-                    CellTask(
-                        machine=cell.machine.shorthand,
-                        variant=cell.variant.name,
-                        block=cell.block,
-                        trial=cell.trial,
-                        fname=cell.fname,
-                    )
-                )
+            pending = [CellTask.of(cell) for cell in session.pending(cells)]
             costs = CellCostModel.for_params(params, self.model_plan)
             if params.schedule == SCHEDULE_LPT:
                 # Longest first: the expensive cells start immediately
@@ -253,21 +229,14 @@ class CampaignSupervisor:
                 # drained, which is what strands a FIFO campaign's tail.
                 pending = order_lpt(pending, costs.cost_of_task)
             if pending:
-                self._run_pool(
-                    pending, costs, report, profiles, paths, manifest,
-                    write_files,
-                )
-                if manifest is not None and write_files:
-                    manifest.save()
+                self._run_pool(pending, costs, session, write_files)
             session.finalize()
         finally:
             session.close()
-        report.interrupted = self._shutdown
-        return RunResult(profiles=profiles, cali_paths=paths, report=report)
+        return session.result(interrupted=self._shutdown)
 
     # ------------------------------------------------------------ the loop
-    def _run_pool(self, pending, costs, report, profiles, paths, manifest,
-                  write_files):
+    def _run_pool(self, pending, costs, session, write_files):
         params = self.params
         policy = params.retry_policy()
         specs = list(self.injector.specs) if self.injector is not None else []
@@ -275,8 +244,6 @@ class CampaignSupervisor:
         heartbeat_queue = self._ctx.Queue()
         monitor = HeartbeatMonitor(params.heartbeat_timeout)
         batch_cap = resolve_batch_cap(params.batch_cells)
-        #: cell key -> precomputed backoff waits (salted, deterministic)
-        backoffs: dict[str, list[float]] = {}
         workers: dict[int, _WorkerHandle] = {}
         drain_deadline: float | None = None
 
@@ -285,27 +252,6 @@ class CampaignSupervisor:
         for task in pending:
             queue.push(task)
             remaining_cost += costs.cost_of_task(task)
-
-        def record_result(result: CellResult) -> None:
-            for rec in result.records:
-                report.add(rec)
-            report.mark_cell(result.key, result.status)
-            if result.profile is not None:
-                profiles.append(result.profile)
-            if result.file is not None:
-                paths.append(Path(result.file))
-            if manifest is not None and write_files:
-                manifest.record(
-                    result.key,
-                    result.status,
-                    file=result.file,
-                    failed_kernels=result.failed_kernels,
-                    elapsed_s=result.elapsed_s,
-                )
-                manifest.save()
-                crash_point("supervisor.post-record", path=manifest.path)
-            if self.on_cell_complete is not None:
-                self.on_cell_complete(result.key)
 
         def handle_worker_death(handle: _WorkerHandle, reason: str) -> None:
             """Requeue the dead/stale worker's cells under the retry policy.
@@ -324,41 +270,22 @@ class CampaignSupervisor:
             for t in unstarted:
                 queue.push(t)
                 remaining_cost += costs.cost_of_task(t)
-            key = task.key
-            if task.attempt >= policy.max_attempts:
-                report.add(
-                    KernelRunRecord(
-                        kernel="<worker crash>",
-                        machine=task.machine,
-                        variant=task.variant,
-                        tuning=task.tuning,
-                        trial=task.trial,
-                        status=STATUS_FAILED,
-                        attempts=task.attempt,
-                        error=reason,
-                    )
-                )
-                report.mark_cell(key, STATUS_FAILED)
-                if manifest is not None and write_files:
-                    manifest.record(
-                        key, STATUS_FAILED, failed_kernels=["<worker crash>"]
-                    )
-                    manifest.save()
-                return
-            report.add(
-                KernelRunRecord(
-                    kernel="<worker crash>",
-                    machine=task.machine,
-                    variant=task.variant,
-                    tuning=task.tuning,
-                    trial=task.trial,
-                    status=STATUS_RETRIED,
-                    attempts=task.attempt,
-                    error=reason,
-                )
+            exhausted = task.attempt >= policy.max_attempts
+            record = KernelRunRecord(
+                kernel="<worker crash>",
+                machine=task.machine,
+                variant=task.variant,
+                tuning=task.tuning,
+                trial=task.trial,
+                status=STATUS_FAILED if exhausted else STATUS_RETRIED,
+                attempts=task.attempt,
+                error=reason,
             )
-            waits = backoffs.setdefault(key, list(policy.delays(salt=key)))
-            wait = waits[task.attempt - 1] if task.attempt - 1 < len(waits) else 0.0
+            if exhausted:
+                session.record(CellOutcome(task.key, None, [record]))
+                return
+            session.report.add(record)
+            wait = policy.delay(task.attempt, salt=task.key)
             queue.push(task.next_attempt(), ready_time=time.monotonic() + wait)
             remaining_cost += costs.cost_of_task(task)
 
@@ -383,7 +310,7 @@ class CampaignSupervisor:
                 timeout = min(timeout, max(drain_deadline - now, 0.0))
             return max(timeout, 0.01)
 
-        previous_handlers = self._install_signal_handlers()
+        previous_handlers = _install_signal_handlers(self._on_signal)
         try:
             for _ in range(min(params.workers, len(queue))):
                 handle = self._spawn_worker(
@@ -444,15 +371,17 @@ class CampaignSupervisor:
                 got_result = False
                 while True:
                     try:
-                        result = result_queue.get_nowait()
+                        worker_id, outcome = result_queue.get_nowait()
                     except queue_mod.Empty:
                         break
                     got_result = True
                     self.results_handled += 1
-                    handle = workers.get(result.worker_id)
+                    handle = workers.get(worker_id)
                     if handle is not None:
-                        handle.finish(result.key)
-                    record_result(result)
+                        handle.finish(outcome.cell_key)
+                    session.record(outcome, point="supervisor.post-record")
+                    if self.on_cell_complete is not None:
+                        self.on_cell_complete(outcome.cell_key)
                 if got_result:
                     continue
 
@@ -465,7 +394,7 @@ class CampaignSupervisor:
                             handle, f"worker process died (exit code {code})"
                         )
                     elif handle.busy and monitor.is_stale(handle.worker_id):
-                        self._kill(handle)
+                        _kill(handle.process)
                         handle_worker_death(
                             handle,
                             f"worker missed heartbeat deadline "
@@ -495,7 +424,7 @@ class CampaignSupervisor:
             for handle in workers.values():
                 handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
                 if handle.process.is_alive():
-                    self._kill(handle)
+                    _kill(handle.process)
             for q in (result_queue, heartbeat_queue):
                 q.cancel_join_thread()
                 q.close()

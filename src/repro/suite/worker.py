@@ -11,9 +11,9 @@
   supervisor's specs (budgets are per-process; worker-level faults
   match on the cell's attempt number so scenarios survive respawns);
 * pulls :class:`CellTask` items off its private task queue, executes
-  them through :meth:`SuiteExecutor.run_cell`, and reports a
-  :class:`CellResult` — profile included, as one pickle — on the shared
-  result queue. ``None`` is the poison pill.
+  them through :meth:`SuiteExecutor.run_cell`, and reports
+  ``(worker_id, CellOutcome)`` — profile included, as one pickle — on
+  the shared result queue. ``None`` is the poison pill.
 
 A ``WORKER_CRASH`` fault fires *before* the cell runs and calls
 ``os._exit`` — no result, no cleanup, no atexit: the closest a Python
@@ -28,7 +28,7 @@ import os
 import queue as queue_mod
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chaos.points import ChaosCrash
 from repro.cli.exitcodes import WORKER_CRASH
@@ -37,6 +37,7 @@ from repro.machines.registry import get_machine
 from repro.suite.heartbeat import HeartbeatEmitter
 from repro.suite.report import STATUS_FAILED, KernelRunRecord, cell_key
 from repro.suite.run_params import RunParams
+from repro.suite.session import CellOutcome
 from repro.suite.variants import get_variant
 
 #: Exit code of an injected worker crash (visible in the supervisor's log).
@@ -50,7 +51,8 @@ _ORPHAN_POLL_S = 1.0
 
 @dataclass(frozen=True)
 class CellTask:
-    """A serializable cell assignment (machine/variant by name)."""
+    """A serializable cell (machine/variant by name): the one wire
+    format a supervisor or shard coordinator sends a cell in."""
 
     machine: str
     variant: str
@@ -70,6 +72,29 @@ class CellTask:
     def next_attempt(self) -> "CellTask":
         return dataclasses.replace(self, attempt=self.attempt + 1)
 
+    @classmethod
+    def of(cls, cell) -> "CellTask":
+        """Serialize an executor ``_Cell``."""
+        return cls(
+            machine=cell.machine.shorthand,
+            variant=cell.variant.name,
+            block=cell.block,
+            trial=cell.trial,
+            fname=cell.fname,
+        )
+
+    def cell(self):
+        """Reconstitute the executor's ``_Cell`` from the names."""
+        from repro.suite.executor import _Cell
+
+        return _Cell(
+            machine=get_machine(self.machine),
+            variant=get_variant(self.variant),
+            block=self.block,
+            trial=self.trial,
+            fname=self.fname,
+        )
+
 
 @dataclass(frozen=True)
 class CellBatch:
@@ -78,53 +103,11 @@ class CellBatch:
     The scheduler (:func:`repro.suite.schedule.plan_batch`) groups cells
     whose estimated cost is small so a sweep pays O(batches), not
     O(cells), queue round-trips. The worker still executes and reports
-    cell by cell — one :class:`CellResult` each — so heartbeat, retry,
+    cell by cell — one outcome each — so heartbeat, retry,
     and resume semantics are identical to single-cell dispatch.
     """
 
     tasks: tuple[CellTask, ...]
-
-
-@dataclass
-class CellResult:
-    """What a worker sends back for one completed (or failed) cell."""
-
-    worker_id: int
-    key: str
-    status: str  # "ok" | "failed"
-    records: list[KernelRunRecord] = field(default_factory=list)
-    file: str | None = None
-    profile: object | None = None  # CaliProfile (picklable region tree)
-    failed_kernels: list[str] = field(default_factory=list)
-    elapsed_s: float | None = None  # measured cell wall time (cost model feed)
-
-
-def _rebuild_cell(task: CellTask):
-    """Reconstitute the executor's cell from the task's names."""
-    from repro.suite.executor import _Cell
-
-    return _Cell(
-        machine=get_machine(task.machine),
-        variant=get_variant(task.variant),
-        block=task.block,
-        trial=task.trial,
-        fname=task.fname,
-    )
-
-
-def run_cell_task(executor, task: CellTask, write_files: bool) -> CellResult:
-    """Execute one task through the shared cell primitive."""
-    outcome = executor.run_cell(_rebuild_cell(task), write_files)
-    return CellResult(
-        worker_id=-1,  # stamped by the caller
-        key=task.key,
-        status=outcome.status,
-        records=outcome.records,
-        file=str(outcome.written) if outcome.written is not None else None,
-        profile=outcome.profile,
-        failed_kernels=outcome.failed_kernels,
-        elapsed_s=outcome.elapsed_s,
-    )
 
 
 def worker_main(
@@ -214,14 +197,13 @@ def worker_main(
                     emitter.suppress()
                     time.sleep(stall)  # wedged: the supervisor must kill us
             try:
-                result = run_cell_task(executor, task, write_files)
+                outcome = executor.run_cell(task.cell(), write_files)
             except ChaosCrash:  # a simulated crash must stay a crash
                 raise
             except BaseException as exc:  # noqa: BLE001 - cell never dies silently
-                result = CellResult(
-                    worker_id=worker_id,
-                    key=task.key,
-                    status=STATUS_FAILED,
+                outcome = CellOutcome(
+                    cell_key=task.key,
+                    profile=None,
                     records=[
                         KernelRunRecord(
                             kernel="<worker>",
@@ -234,10 +216,8 @@ def worker_main(
                             error=f"{type(exc).__name__}: {exc}",
                         )
                     ],
-                    failed_kernels=["<worker>"],
                 )
-            result.worker_id = worker_id
-            result_queue.put(result)
+            result_queue.put((worker_id, outcome))
     if executor.profile_sink is not None:
         executor.profile_sink.close()  # seal the segment's index
     emitter.stop()

@@ -267,6 +267,14 @@ class TestRetryBackoff:
         )
         assert list(policy.delays()) == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
 
+    def test_delay_is_the_salted_stream_entry_for_the_attempt(self):
+        policy = RetryPolicy(max_attempts=4, base_delay=0.1, jitter=0.5, seed=7)
+        for salt in (None, "SPR-DDR|RAJA_Seq|default|trial1", "shard-3"):
+            waits = list(policy.delays(salt))
+            assert [policy.delay(a, salt) for a in range(1, 6)] == [
+                *waits, 0.0, 0.0,
+            ]
+
     def test_transient_kernel_fault_is_retried(self):
         sleeps = []
         with FaultInjector(

@@ -21,6 +21,7 @@ from repro.caliper import calipack
 from repro.chaos import invariants
 from repro.chaos.points import CHAOS_KILL_EXITCODE, ChaosSchedule, arm
 from repro.cli.main import main
+from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.suite.coordinator import ShardMap, shard_status
 from repro.suite.errors import CampaignLockedError
 from repro.suite.executor import SuiteExecutor
@@ -122,6 +123,22 @@ def test_more_shards_than_cells_completes(tmp_path):
     result = SuiteExecutor(params).run(write_files=True)
     assert result.report.clean
     assert set(_manifest_cells(tmp_path)) == _expected_keys(params)
+
+
+def test_active_fault_injector_reaches_the_shards(tmp_path):
+    """Shards inherit the installed injector by fork: a permanent kernel
+    fault fails exactly its cell, and the campaign still completes."""
+    params = _params(tmp_path, shards=2)
+    fault = FaultSpec(
+        kind=FaultKind.KERNEL_EXCEPTION, variant="RAJA_Seq", trial=1, times=None
+    )
+    with FaultInjector([fault]):
+        result = SuiteExecutor(params).run(write_files=True)
+    assert result.report.cell_counts() == {"ok": 3, "failed": 1}
+    cells = _manifest_cells(tmp_path)
+    assert set(cells) == _expected_keys(params)
+    failed = {key for key, entry in cells.items() if entry["status"] != "ok"}
+    assert failed == {"SPR-DDR|RAJA_Seq|default|trial1"}
 
 
 # ------------------------------------------------------------------- healing
