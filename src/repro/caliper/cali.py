@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.caliper.records import CaliProfile, RegionRecord
+from repro.faults import fault_point
 from repro.util.fsio import tmp_sibling, write_durable_bytes
 
 FORMAT_NAME = "cali-json"
@@ -105,15 +106,13 @@ def write_cali(profile: CaliProfile, path: str | Path) -> Path:
     poison analysis. Raises :class:`OSError` on failure; the target is
     untouched in that case.
     """
-    from repro.faults import active_injector
-
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    injector = active_injector()
+    fault = fault_point("profile.seal", path=out.name)
     # Bit-rot simulation: the write completes, but the seal is wrong.
-    corrupt = injector is not None and injector.footer_fault(out.name) is not None
+    corrupt = fault is not None and fault.action == "corrupt"
     data = serialize_cali(profile, corrupt_crc=corrupt)
-    if injector is not None and injector.io_fault(out.name) is not None:
+    if fault is not None and fault.action == "raise":
         # Simulate an interrupted write: a truncated tmp file, then the
         # failure. The target file must remain absent/intact.
         tmp_sibling(out).write_bytes(data[: max(1, len(data) // 2)])

@@ -1,49 +1,8 @@
 """Deterministic crash-consistency chaos testing.
 
-:mod:`repro.chaos.points` defines the named crash points woven into
-every durable-write path of the pipeline (profile writes, archive
-appends and seals, manifest checkpoints, reference-checksum publishes,
-ingest-cache stores) plus the :class:`ChaosSchedule` that arms them.
-:mod:`repro.chaos.runner` drives the full run -> fsck -> resume ->
-analyze loop against every point and machine-checks the recovery
-invariants; :mod:`repro.chaos.invariants` holds the checks themselves.
+The crash points live in the fault-site registry of
+:mod:`repro.faults`. :mod:`repro.chaos.runner` drives the full run ->
+fsck -> resume -> analyze loop against every point and machine-checks
+the recovery invariants; :mod:`repro.chaos.invariants` holds the checks
+themselves.
 """
-
-from repro.chaos.points import (
-    CHAOS_KILL_EXITCODE,
-    REGISTERED_POINTS,
-    ChaosCrash,
-    ChaosSchedule,
-    arm,
-    armed_schedule,
-    crash_point,
-    disarm,
-    point_names,
-)
-__all__ = [
-    "CHAOS_KILL_EXITCODE",
-    "REGISTERED_POINTS",
-    "ChaosCrash",
-    "ChaosReport",
-    "ChaosRunner",
-    "ChaosSchedule",
-    "TrialVerdict",
-    "arm",
-    "armed_schedule",
-    "crash_point",
-    "disarm",
-    "point_names",
-]
-
-_RUNNER_EXPORTS = ("ChaosReport", "ChaosRunner", "TrialVerdict")
-
-
-def __getattr__(name: str):
-    # The runner pulls in the executor, which (through fsio) pulls in
-    # this package — importing it lazily keeps the crash-point hooks
-    # importable from anywhere without a cycle.
-    if name in _RUNNER_EXPORTS:
-        from repro.chaos import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,8 +4,8 @@ For every registered crash point (and campaign mode it applies to) the
 runner executes the full production loop against a small but real
 campaign:
 
-1. **run (armed)** — a forked child arms the point's
-   :class:`~repro.chaos.points.ChaosSchedule` in ``exit`` mode and runs
+1. **run (armed)** — a forked child installs an ``exit``
+   :class:`~repro.faults.Fault` at the point and runs
    the campaign; the strike is a genuine ``os._exit`` mid-write — no
    ``finally`` blocks, no atexit, locks left held, tmp files left
    behind. A token file scoped to the trial makes the strike fire
@@ -48,12 +48,14 @@ from pathlib import Path
 
 from repro.caliper import calipack
 from repro.chaos import invariants
-from repro.chaos.points import (
+from repro.faults import (
     CHAOS_KILL_EXITCODE,
-    REGISTERED_POINTS,
-    ChaosSchedule,
-    PointSpec,
-    arm,
+    CRASH_POINTS,
+    SITES,
+    Fault,
+    FaultPlan,
+    Site,
+    install,
 )
 from repro.suite.fsck import fsck_directory
 from repro.suite.run_params import RunParams
@@ -64,12 +66,12 @@ MODES = ("serial", "supervised", "sharded", "service")
 CHILD_TIMEOUT_S = 180.0
 
 
-def _effective_pack(mode: str, spec: PointSpec) -> bool:
+def _effective_pack(mode: str, spec: Site) -> bool:
     """Sharded campaigns always pack: the shard merge needs archives."""
     return spec.pack or mode == "sharded"
 
 
-def _trial_params(output_dir: Path, mode: str, spec: PointSpec) -> RunParams:
+def _trial_params(output_dir: Path, mode: str, spec: Site) -> RunParams:
     """The trial campaign: 4 cells, small, deterministic, fast to re-run."""
     return RunParams(
         problem_size=1024,
@@ -92,8 +94,8 @@ def _trial_params(output_dir: Path, mode: str, spec: PointSpec) -> RunParams:
     )
 
 
-def _run_armed_campaign(params: RunParams, schedule: ChaosSchedule) -> None:
-    """Child body: arm the schedule, run the campaign, exit normally.
+def _run_armed_campaign(params: RunParams, schedule: Fault) -> None:
+    """Child body: install the strike, run the campaign, exit normally.
 
     When the armed point is reached the process dies *inside* the hook
     (``os._exit``); reaching the end means the point either never came
@@ -102,7 +104,7 @@ def _run_armed_campaign(params: RunParams, schedule: ChaosSchedule) -> None:
     """
     from repro.suite.executor import SuiteExecutor
 
-    arm(schedule)
+    install(FaultPlan([schedule]))
     SuiteExecutor(params).run(write_files=True)
 
 
@@ -119,11 +121,11 @@ def _run_resume_campaign(params: RunParams) -> None:
 
 
 def _run_armed_analyze(
-    sources: list[str], cache_dir: str, schedule: ChaosSchedule
+    sources: list[str], cache_dir: str, schedule: Fault
 ) -> None:
     from repro.thicket import Thicket
 
-    arm(schedule)
+    install(FaultPlan([schedule]))
     Thicket.from_caliperreader(sources, cache=cache_dir)
 
 
@@ -153,9 +155,7 @@ def _service_job_spec() -> dict:
     }
 
 
-def _run_armed_service(
-    root: str, schedule: ChaosSchedule, drain: bool
-) -> None:
+def _run_armed_service(root: str, schedule: Fault, drain: bool) -> None:
     """Child body for a service trial: submit, schedule, (maybe) drain.
 
     With ``drain`` the scheduler waits for the job to reach RUNNING and
@@ -167,7 +167,7 @@ def _run_armed_service(
     from repro.service.jobstore import STATE_RUNNING, JobStore
     from repro.service.scheduler import JobScheduler, SchedulerConfig
 
-    arm(schedule)
+    install(FaultPlan([schedule]))
     store = JobStore(root)
     store.submit(_service_job_spec(), tenant="chaos", job_id=CHAOS_JOB_ID)
     scheduler = JobScheduler(
@@ -228,7 +228,7 @@ def _build_retention_seed(root: str) -> None:
             raise RuntimeError(f"seed job {job_id} is {state}")
 
 
-def _run_armed_retention(root: str, schedule: ChaosSchedule) -> None:
+def _run_armed_retention(root: str, schedule: Fault) -> None:
     """Child body: a GC + compaction pass with the strike armed.
 
     The policy condemns the oldest of the two terminal jobs
@@ -245,7 +245,7 @@ def _run_armed_retention(root: str, schedule: ChaosSchedule) -> None:
         gc,
     )
 
-    arm(schedule)
+    install(FaultPlan([schedule]))
     store = JobStore(root)
     gc(store, RetentionPolicy(max_terminal_jobs=1))
     archive = store.campaign_dir(RETENTION_JOBS[-1]) / ARCHIVE_NAME
@@ -407,18 +407,18 @@ class ChaosRunner:
         keep: bool = False,
         progress=None,
     ) -> None:
-        unknown = [p for p in (points or []) if p not in REGISTERED_POINTS]
+        unknown = [p for p in (points or []) if p not in CRASH_POINTS]
         if unknown:
             raise ValueError(
                 f"unknown crash points {unknown}; "
-                f"registered: {list(REGISTERED_POINTS)}"
+                f"registered: {list(CRASH_POINTS)}"
             )
         bad_modes = [m for m in (modes or []) if m not in MODES]
         if bad_modes:
             raise ValueError(f"unknown modes {bad_modes}; have {list(MODES)}")
         self.seed = seed
         self.trials_per_point = trials_per_point
-        self.points = list(points) if points else list(REGISTERED_POINTS)
+        self.points = list(points) if points else list(CRASH_POINTS)
         self.modes = list(modes) if modes else list(MODES)
         self.keep = keep
         self.progress = progress or (lambda _msg: None)
@@ -457,7 +457,7 @@ class ChaosRunner:
             return [calipack.member_ref(archive, n) for n in names]
         return sorted(str(p) for p in directory.glob("*.cali"))
 
-    def _golden(self, spec: PointSpec) -> tuple[Path, object]:
+    def _golden(self, spec: Site) -> tuple[Path, object]:
         """The uncrashed reference campaign + Thicket for this config."""
         from repro.thicket import Thicket
 
@@ -486,9 +486,7 @@ class ChaosRunner:
 
         return {cell.key for cell in SuiteExecutor(params).build_cells()}
 
-    def _schedule(
-        self, spec: PointSpec, trial: int, token: Path
-    ) -> ChaosSchedule:
+    def _schedule(self, spec: Site, trial: int, token: Path) -> Fault:
         """The trial's deterministic strike plan.
 
         Trial 0 always strikes the first occurrence; later trials strike
@@ -501,10 +499,10 @@ class ChaosRunner:
             hit, torn = 1 + (trial - 1) // 2, trial % 2 == 1
         else:
             hit, torn = trial + 1, False
-        return ChaosSchedule(
-            point=spec.name,
+        return Fault(
+            site=spec.name,
             hit=hit,
-            mode="exit",
+            action="exit",
             torn=torn,
             seed=self.seed + trial,
             token=str(token),
@@ -561,7 +559,7 @@ class ChaosRunner:
         )
         try:
             for name in self.points:
-                spec = REGISTERED_POINTS[name]
+                spec = SITES[name]
                 for mode in self.modes:
                     for trial in range(self.trials_per_point):
                         verdict = self._run_trial(spec, mode, trial)
@@ -580,7 +578,7 @@ class ChaosRunner:
                 shutil.rmtree(self.workdir, ignore_errors=True)
         return report
 
-    def _run_trial(self, spec: PointSpec, mode: str, trial: int) -> TrialVerdict:
+    def _run_trial(self, spec: Site, mode: str, trial: int) -> TrialVerdict:
         start = time.monotonic()
         verdict = TrialVerdict(
             point=spec.name,
@@ -619,10 +617,10 @@ class ChaosRunner:
 
     def _run_phase_trial(
         self,
-        spec: PointSpec,
+        spec: Site,
         mode: str,
         trialdir: Path,
-        schedule: ChaosSchedule,
+        schedule: Fault,
         verdict: TrialVerdict,
     ) -> None:
         golden_dir, golden_thicket = self._golden(spec)
@@ -704,9 +702,9 @@ class ChaosRunner:
 
     def _service_phase_trial(
         self,
-        spec: PointSpec,
+        spec: Site,
         trialdir: Path,
-        schedule: ChaosSchedule,
+        schedule: Fault,
         verdict: TrialVerdict,
     ) -> None:
         """Kill the job service mid-transition, restart it, check I6.
@@ -802,9 +800,9 @@ class ChaosRunner:
 
     def _retention_phase_trial(
         self,
-        spec: PointSpec,
+        spec: Site,
         trialdir: Path,
-        schedule: ChaosSchedule,
+        schedule: Fault,
         verdict: TrialVerdict,
     ) -> None:
         """Kill GC/compaction mid-destruction, recover, check I7.
@@ -913,10 +911,10 @@ class ChaosRunner:
 
     def _analyze_phase_trial(
         self,
-        spec: PointSpec,
+        spec: Site,
         mode: str,
         trialdir: Path,
-        schedule: ChaosSchedule,
+        schedule: Fault,
         verdict: TrialVerdict,
     ) -> None:
         """Crash mid-analyze (the ingest-cache store), then re-analyze."""
@@ -1007,7 +1005,7 @@ class ChaosRunner:
         self,
         outdir: Path,
         trialdir: Path,
-        spec: PointSpec,
+        spec: Site,
         golden_thicket,
         cache_dir: Path | None = None,
         pack: bool | None = None,
@@ -1068,7 +1066,7 @@ class ChaosRunner:
         * **resume suppressed** — a campaign is crashed between two
           cells and never resumed; I3 must report the missing cells.
         """
-        spec = REGISTERED_POINTS["executor.post-cell"]
+        spec = SITES["executor.post-cell"]
         scenarios = []
         try:
             # --- scenario 1: rot a sealed profile, suppress fsck ---------
@@ -1095,10 +1093,10 @@ class ChaosRunner:
             outdir = self.workdir / "selftest-noresume"
             outdir.mkdir(parents=True, exist_ok=True)
             params = _trial_params(outdir, "serial", spec)
-            schedule = ChaosSchedule(
-                point=spec.name,
+            schedule = Fault(
+                site=spec.name,
                 hit=1,
-                mode="exit",
+                action="exit",
                 seed=self.seed,
                 token=str(self.workdir / "selftest-noresume.token"),
             )

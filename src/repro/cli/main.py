@@ -50,8 +50,10 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from contextlib import nullcontext
 
 from repro.cli import exitcodes
+from repro.faults import FaultPlan
 from repro.machines.registry import MACHINES, list_machines
 from repro.suite.features import Feature
 from repro.suite.groups import Group
@@ -113,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--kernel-timeout", type=float, default=None, metavar="SECONDS",
                      help="per-kernel watchdog deadline")
     run.add_argument("--inject-faults", default=None, metavar="JSON",
-                     help="fault-injection spec (JSON list; see repro.faults); "
+                     help="fault plan (JSON list of faults; see repro.faults); "
                           "$REPRO_FAULTS is honored when this is unset")
     run.add_argument("--workers", type=int, default=1, metavar="N",
                      help="worker processes; N > 1 runs the campaign under "
@@ -468,9 +470,6 @@ def _service_admission_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
-    from repro.faults import FaultInjector
     from repro.suite.errors import CampaignLockedError
     from repro.suite.executor import SuiteExecutor
 
@@ -507,21 +506,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exitcodes.USAGE
-    try:
-        if args.inject_faults:
-            injector = FaultInjector.from_config(args.inject_faults)
-        else:
-            injector = FaultInjector.from_env()
-    except ValueError as exc:
-        print(f"error: invalid fault-injection spec: {exc}", file=sys.stderr)
-        return exitcodes.USAGE
     executor = SuiteExecutor(params)
     try:
-        with injector if injector is not None else nullcontext():
-            if args.paper:
-                result = executor.run_paper_configuration(write_files=True)
-            else:
-                result = executor.run(write_files=True)
+        if args.paper:
+            result = executor.run_paper_configuration(write_files=True)
+        else:
+            result = executor.run(write_files=True)
     except CampaignLockedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exitcodes.CAMPAIGN_LOCKED
@@ -1151,6 +1141,14 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # One fault plan for the whole command: `run --inject-faults`, else
+    # $REPRO_FAULTS. A malformed plan is a usage error, never ignored.
+    try:
+        raw = getattr(args, "inject_faults", None)
+        plan = FaultPlan.parse(raw) if raw else FaultPlan.from_env()
+    except ValueError as exc:
+        print(f"error: invalid fault plan: {exc}", file=sys.stderr)
+        return exitcodes.USAGE
     handlers = {
         "run": _cmd_run,
         "analyze": _cmd_analyze,
@@ -1171,7 +1169,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "jobs": _cmd_jobs,
         "cancel": _cmd_cancel,
     }
-    return handlers[args.command](args)
+    with plan if plan is not None else nullcontext():
+        return handlers[args.command](args)
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.chaos.points import crash_point
+from repro.faults import fault_point
 from repro.suite.run_params import RunParams
 from repro.util.fsio import write_durable_text
 
@@ -454,7 +454,7 @@ class JobStore:
         """Durably rewrite (the ``service.pre-job-save`` crash boundary)."""
         path = self.record_path(record.job_id)
         record.updated_at = _wallclock()
-        crash_point("service.pre-job-save", path=path)
+        fault_point("service.pre-job-save", path=path)
         return write_durable_text(path, seal_record(record))
 
     # ----------------------------------------------------------------- load

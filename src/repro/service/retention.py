@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.chaos.points import crash_point
+from repro.faults import fault_point
 from repro.service.jobstore import JobRecord, JobStore
 from repro.util.fsio import durable_replace, fsync_dir
 
@@ -304,7 +304,7 @@ def _remove_tree(store: JobStore, root: Path) -> None:
     for dirpath, dirnames, filenames in os.walk(str(root), topdown=False):
         for fname in sorted(filenames):
             target = Path(dirpath) / fname
-            crash_point("retention.mid-delete", path=target)
+            fault_point("retention.mid-delete", path=target)
             target.unlink(missing_ok=True)
         for dname in sorted(dirnames):
             try:
@@ -347,7 +347,7 @@ def collect_job(store: JobStore, job_id: str, reason: str = "") -> bool:
         return False
     if _eligible(store, record) is not None:
         return False
-    crash_point(
+    fault_point(
         "retention.pre-tombstone", path=store.tombstone_path(job_id)
     )
     store.write_tombstone(record, reason or "retention policy")
@@ -524,7 +524,7 @@ def compact_archive(
         scratch.unlink(missing_ok=True)
         raise
     writer.close()
-    crash_point("retention.pre-compact-swap", path=path, torn_file=scratch)
+    fault_point("retention.pre-compact-swap", path=path, torn_file=scratch)
     rebuilt = scratch.read_bytes()
     if rebuilt == path.read_bytes():
         scratch.unlink(missing_ok=True)

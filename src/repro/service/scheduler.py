@@ -45,8 +45,8 @@ import traceback
 from dataclasses import dataclass
 from typing import Any
 
-from repro.chaos.points import crash_point
 from repro.cli import exitcodes
+from repro.faults import fault_point
 from repro.service.jobstore import (
     STATE_CANCELLED,
     STATE_FAILED,
@@ -312,7 +312,7 @@ class JobScheduler:
             except CampaignLockedError:
                 continue  # another scheduler beat us to it
             try:
-                crash_point(
+                fault_point(
                     "service.post-claim",
                     path=self.store.record_path(record.job_id),
                 )
@@ -368,7 +368,7 @@ class JobScheduler:
         self._draining = True
         drained = []
         for job_id, child in list(self._children.items()):
-            crash_point(
+            fault_point(
                 "service.mid-drain", path=self.store.record_path(job_id)
             )
             child.terminate()

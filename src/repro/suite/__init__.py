@@ -61,11 +61,7 @@ from repro.suite.schedule import (
     plan_batch,
 )
 from repro.suite.supervisor import CampaignSupervisor
-from repro.suite.worker import (
-    WORKER_CRASH_EXITCODE,
-    CellBatch,
-    CellTask,
-)
+from repro.suite.worker import CellBatch, CellTask
 from repro.suite.summary import group_summary, suite_inventory
 
 __all__ = [
@@ -120,7 +116,6 @@ __all__ = [
     "ProfileCheck",
     "LOCK_NAME",
     "MANIFEST_NAME",
-    "WORKER_CRASH_EXITCODE",
     "WorkerCrashError",
     "CellCostModel",
     "load_measured_costs",

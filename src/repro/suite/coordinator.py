@@ -57,8 +57,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.caliper.calipack import ARCHIVE_NAME, member_ref, merge_shards, split_member_ref
-from repro.chaos.points import crash_point
 from repro.cli.exitcodes import CAMPAIGN_LOCKED
+from repro.faults import fault_point
 from repro.suite.executor import ModelPlan
 from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
 from repro.suite.report import STATUS_FAILED, STATUS_OK, KernelRunRecord
@@ -151,7 +151,7 @@ class ShardMap:
 
     def save(self) -> Path:
         """Durably persist (the ``shard.pre-map-save`` crash boundary)."""
-        crash_point("shard.pre-map-save", path=self.path)
+        fault_point("shard.pre-map-save", path=self.path)
         payload = {
             "format": "rajaperf-shard-map",
             "version": MAP_VERSION,
@@ -400,7 +400,7 @@ class ShardCoordinator:
                     handle.process = None
                     # Reaped but not yet acted on: a coordinator killed
                     # here must re-derive the shard's fate on resume.
-                    crash_point("shard.post-shard-exit", path=shard_map.path)
+                    fault_point("shard.post-shard-exit", path=shard_map.path)
                     self._reap(handle, code, handles, shard_map)
                 elif self._stale(handle, now):
                     _kill(process)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.chaos.points import crash_point
+from repro.faults import fault_point
 from repro.suite.errors import CampaignLockedError
 from repro.util.fsio import fsync_dir, write_durable_text
 
@@ -348,7 +348,7 @@ class CampaignManifest:
         One write and one fsync of the ledger; the directory is fsynced
         only when the ledger file is created. Returns the ledger path.
         """
-        crash_point("manifest.pre-save", path=self.path)
+        fault_point("manifest.pre-save", path=self.path)
         ledger = self.ledger_path
         if not self._dirty:
             return ledger
@@ -366,7 +366,7 @@ class CampaignManifest:
             ).encode("utf-8")
             handle.write(data)
             handle.flush()
-            crash_point(
+            fault_point(
                 "manifest.mid-append", path=ledger, torn_file=ledger,
                 torn_base=size,
             )

@@ -11,7 +11,7 @@ later ``--resume``) loads it.
 
 Writes are read-merge-write through the durable tmp+replace protocol,
 so concurrent publishers cannot tear the file; collisions are benign
-because the values are deterministic (an injector-free Base_Seq run).
+because the values are deterministic (a fault-free Base_Seq run).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.chaos.points import crash_point
+from repro.faults import fault_point
 from repro.util.fsio import write_durable_text
 
 SIDECAR_NAME = ".reference_checksums.json"
@@ -53,7 +53,7 @@ class ReferenceChecksumStore:
         """Publish one reference (merging concurrent publishers' entries)."""
         data = self._read()
         data[self._key(kernel, size)] = value
-        crash_point("refchecksums.pre-publish", path=self.path)
+        fault_point("refchecksums.pre-publish", path=self.path)
         try:
             write_durable_text(
                 self.path, json.dumps(data, sort_keys=True, indent=0)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.caliper.records import CaliProfile
-from repro.chaos.points import crash_point
+from repro.faults import fault_point
 from repro.suite.manifest import MANIFEST_NAME, CampaignLock, CampaignManifest
 from repro.suite.report import (
     STATUS_FAILED,
@@ -176,7 +176,7 @@ class CampaignSession:
         )
         self.manifest.save()
         if point is not None:
-            crash_point(point, path=self.manifest.path)
+            fault_point(point, path=self.manifest.path)
 
     def result(self, interrupted: bool = False) -> RunResult:
         self.report.interrupted = interrupted

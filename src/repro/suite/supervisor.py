@@ -19,21 +19,25 @@ Supervision model (the worker lifecycle state machine):
                  |         +-- missed beats  -> STALE (kill, requeue, respawn)
                  +-- process exit -> DEAD (respawn while work remains)
 
-* **Dead worker**: the process exited (an injected ``WORKER_CRASH``
-  does ``os._exit`` — the segfault equivalent). Detected via
-  ``Process.is_alive``; its in-flight cell is requeued with the next
-  attempt number under the campaign's :class:`RetryPolicy` (per-cell
-  backoff, jitter salted by cell key), and a replacement worker is
-  spawned. A cell that exhausts ``max_attempts`` is marked failed —
+* **Dead worker**: the process exited (an ``exit`` fault at the
+  ``worker.pre-cell`` site does ``os._exit`` — the segfault
+  equivalent). Detected via ``Process.is_alive``; its in-flight cell
+  is requeued with the next attempt number under the campaign's
+  :class:`RetryPolicy` (per-cell backoff, jitter salted by cell key),
+  and a replacement worker is spawned. A cell that exhausts ``max_attempts`` is marked failed —
   the campaign never is.
 * **Stale worker**: the process is alive but its heartbeats stopped
-  (wedged I/O, a hung driver, an injected ``STALE_HEARTBEAT``).
+  (wedged I/O, a hung driver, a ``hang`` fault at ``worker.pre-cell``).
   Detected by the :class:`HeartbeatMonitor` deadline; the worker is
   killed and handled exactly like a dead one.
 * **Graceful shutdown**: SIGINT/SIGTERM flip a drain flag — no new
   cells are dispatched, in-flight cells finish and are recorded, the
   manifest is flushed, workers get poison pills, and the run returns
   with ``report.interrupted`` so ``--resume`` can finish the job.
+
+Workers inherit the installed :class:`~repro.faults.FaultPlan` by fork
+(a spawned worker adopts ``$REPRO_FAULTS``); the supervisor hands them
+no fault specs of its own.
 
 Exactly one campaign may own an output directory: the supervisor holds
 the manifest's :class:`CampaignLock` (PID lease; stale leases from dead
@@ -69,7 +73,6 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.faults import FaultInjector, FaultSpec, active_injector
 from repro.suite.costmodel import CellCostModel
 from repro.suite.executor import ModelPlan
 from repro.suite.heartbeat import HeartbeatMonitor
@@ -166,14 +169,12 @@ class CampaignSupervisor:
     def __init__(
         self,
         params: RunParams,
-        injector: FaultInjector | None = None,
         on_cell_complete: Callable[[str], None] | None = None,
         model_plan: ModelPlan | None = None,
     ) -> None:
         if params.workers < 2:
             raise ValueError("CampaignSupervisor requires params.workers >= 2")
         self.params = params
-        self.injector = injector if injector is not None else active_injector()
         self.on_cell_complete = on_cell_complete
         #: the campaign's model plan: the cost model fills it before any
         #: worker forks, so workers inherit every entry warm
@@ -191,7 +192,6 @@ class CampaignSupervisor:
 
     # -------------------------------------------------------------- workers
     def _spawn_worker(self, result_queue, heartbeat_queue, write_files: bool,
-                      specs: list[FaultSpec],
                       monitor: HeartbeatMonitor) -> _WorkerHandle:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
@@ -204,7 +204,6 @@ class CampaignSupervisor:
                 task_queue,
                 result_queue,
                 heartbeat_queue,
-                specs,
                 write_files,
                 self.model_plan,
             ),
@@ -239,7 +238,6 @@ class CampaignSupervisor:
     def _run_pool(self, pending, costs, session, write_files):
         params = self.params
         policy = params.retry_policy()
-        specs = list(self.injector.specs) if self.injector is not None else []
         result_queue = self._ctx.Queue()
         heartbeat_queue = self._ctx.Queue()
         monitor = HeartbeatMonitor(params.heartbeat_timeout)
@@ -314,7 +312,7 @@ class CampaignSupervisor:
         try:
             for _ in range(min(params.workers, len(queue))):
                 handle = self._spawn_worker(
-                    result_queue, heartbeat_queue, write_files, specs, monitor
+                    result_queue, heartbeat_queue, write_files, monitor
                 )
                 workers[handle.worker_id] = handle
 
@@ -407,8 +405,7 @@ class CampaignSupervisor:
                     )
                 ):
                     handle = self._spawn_worker(
-                        result_queue, heartbeat_queue, write_files, specs,
-                        monitor,
+                        result_queue, heartbeat_queue, write_files, monitor
                     )
                     workers[handle.worker_id] = handle
         finally:

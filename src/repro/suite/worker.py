@@ -7,18 +7,19 @@
   worker that died on Ctrl-C would defeat the graceful drain);
 * runs a daemon :class:`~repro.suite.heartbeat.HeartbeatEmitter` so the
   supervisor can tell "busy" from "wedged";
-* installs its own :class:`~repro.faults.FaultInjector` built from the
-  supervisor's specs (budgets are per-process; worker-level faults
-  match on the cell's attempt number so scenarios survive respawns);
+* inherits the installed :class:`~repro.faults.FaultPlan` by fork (or
+  adopts ``$REPRO_FAULTS`` when spawned) and zeroes its cell-site
+  budgets, so worker-level faults match on the cell's attempt number
+  and scenarios survive respawns;
 * pulls :class:`CellTask` items off its private task queue, executes
   them through :meth:`SuiteExecutor.run_cell`, and reports
   ``(worker_id, CellOutcome)`` — profile included, as one pickle — on
   the shared result queue. ``None`` is the poison pill.
 
-A ``WORKER_CRASH`` fault fires *before* the cell runs and calls
-``os._exit`` — no result, no cleanup, no atexit: the closest a Python
-process gets to a segfault. The supervisor must recover from exactly
-this.
+An ``exit`` fault at the ``worker.pre-cell`` site fires *before* the
+cell runs and calls ``os._exit`` with the worker-crash status — no
+result, no cleanup, no atexit: the closest a Python process gets to a
+segfault. The supervisor must recover from exactly this.
 """
 
 from __future__ import annotations
@@ -30,20 +31,14 @@ import signal
 import time
 from dataclasses import dataclass
 
-from repro.chaos.points import ChaosCrash
+from repro import faults
 from repro.cli.exitcodes import WORKER_CRASH
-from repro.faults import FaultInjector, FaultSite, FaultSpec
 from repro.machines.registry import get_machine
 from repro.suite.heartbeat import HeartbeatEmitter
 from repro.suite.report import STATUS_FAILED, KernelRunRecord, cell_key
 from repro.suite.run_params import RunParams
 from repro.suite.session import CellOutcome
 from repro.suite.variants import get_variant
-
-#: Exit code of an injected worker crash (visible in the supervisor's log).
-#: Canonically defined in :mod:`repro.cli.exitcodes`; re-exported here
-#: because the supervisor and its tests historically import it from us.
-WORKER_CRASH_EXITCODE = WORKER_CRASH
 
 #: How often an idle worker re-checks that its supervisor still exists.
 _ORPHAN_POLL_S = 1.0
@@ -116,7 +111,6 @@ def worker_main(
     task_queue,
     result_queue,
     heartbeat_queue,
-    fault_specs: list[FaultSpec],
     write_files: bool,
     model_plan=None,
 ) -> None:
@@ -135,16 +129,13 @@ def worker_main(
     # This process runs exactly one cell at a time: no nested pools.
     params = dataclasses.replace(params, workers=1)
 
-    injector: FaultInjector | None = None
-    if fault_specs:
-        injector = FaultInjector([dataclasses.replace(s) for s in fault_specs])
-        injector.reset()  # fresh per-process budgets
+    faults.fresh_cell_budgets()
 
     emitter = HeartbeatEmitter(
         worker_id, heartbeat_queue, params.effective_heartbeat_interval()
     )
     emitter.start()
-    executor = SuiteExecutor(params, injector=injector, model_plan=model_plan)
+    executor = SuiteExecutor(params, model_plan=model_plan)
     if write_files and params.pack:
         from pathlib import Path
 
@@ -185,20 +176,21 @@ def worker_main(
             break
         tasks = item.tasks if isinstance(item, CellBatch) else (item,)
         for task in tasks:
-            site = FaultSite(
-                kernel="*", variant=task.variant, trial=task.trial,
-                machine=task.machine,
+            fault = faults.fault_point(
+                "worker.pre-cell",
+                where=faults.Where(
+                    variant=task.variant, trial=task.trial, machine=task.machine
+                ),
+                attempt=task.attempt,
             )
-            if injector is not None:
-                if injector.worker_crash(site, task.attempt) is not None:
-                    os._exit(WORKER_CRASH_EXITCODE)  # the segfault equivalent
-                stall = injector.stale_seconds(site, task.attempt)
-                if stall:
-                    emitter.suppress()
-                    time.sleep(stall)  # wedged: the supervisor must kill us
+            if fault is not None:
+                if fault.action == "exit":
+                    os._exit(WORKER_CRASH)  # the segfault equivalent
+                emitter.suppress()
+                time.sleep(fault.hang_seconds)  # wedged: the supervisor kills us
             try:
                 outcome = executor.run_cell(task.cell(), write_files)
-            except ChaosCrash:  # a simulated crash must stay a crash
+            except faults.ChaosCrash:  # a simulated crash must stay a crash
                 raise
             except BaseException as exc:  # noqa: BLE001 - cell never dies silently
                 outcome = CellOutcome(

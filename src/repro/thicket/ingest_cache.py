@@ -40,8 +40,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.chaos.points import crash_point
 from repro.dataframe import Frame
+from repro.faults import fault_point
 from repro.util.fsio import write_durable_bytes
 
 CACHE_DIR_NAME = ".ingest_cache"
@@ -177,7 +177,7 @@ def store(
         f"crc32={crc:08x} hcrc={hcrc:08x}\n"
     ).encode("ascii")
     target = cache_path(cache_dir, cache_key(sources))
-    crash_point("ingest-cache.pre-store", path=target)
+    fault_point("ingest-cache.pre-store", path=target)
     out = write_durable_bytes(target, head + body)
     _prune(Path(cache_dir), budget=cache_budget_bytes())
     return out

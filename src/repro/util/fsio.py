@@ -16,11 +16,11 @@ in-flight tmp; the losing ``os.replace`` is simply overwritten by the
 winner's, which is the documented last-wins semantics. Orphaned tmps
 (a crash between tmp write and replace) are swept by ``fsck``.
 
-Every step of the protocol is also a registered chaos crash point
-(:mod:`repro.chaos.points`): ``fsio.before-tmp-write``,
+Every step of the protocol is also a registered crash point
+(:mod:`repro.faults`): ``fsio.before-tmp-write``,
 ``fsio.after-tmp-fsync`` (torn-write capable), ``fsio.before-replace``,
 ``fsio.after-replace``, and ``fsio.before-dir-fsync``. The hooks are
-no-ops unless a chaos schedule is armed.
+no-ops unless a fault plan is installed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import itertools
 import os
 from pathlib import Path
 
-from repro.chaos.points import crash_point
+from repro.faults import fault_point
 
 _tmp_counter = itertools.count()
 
@@ -45,7 +45,7 @@ def tmp_sibling(target: str | Path) -> Path:
 
 def fsync_dir(path: str | Path) -> None:
     """fsync a directory so a completed rename inside it is durable."""
-    crash_point("fsio.before-dir-fsync", path=path)
+    fault_point("fsio.before-dir-fsync", path=path)
     try:
         fd = os.open(str(path), os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir open
@@ -60,9 +60,9 @@ def fsync_dir(path: str | Path) -> None:
 
 def durable_replace(tmp: str | Path, target: str | Path) -> None:
     """``os.replace`` + directory fsync (the tmp must already be synced)."""
-    crash_point("fsio.before-replace", path=target, torn_file=tmp)
+    fault_point("fsio.before-replace", path=target, torn_file=tmp)
     os.replace(tmp, target)
-    crash_point("fsio.after-replace", path=target)
+    fault_point("fsio.after-replace", path=target)
     fsync_dir(Path(target).parent)
 
 
@@ -76,7 +76,7 @@ def write_durable_bytes(target: str | Path, data: bytes) -> Path:
     out = Path(target)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = tmp_sibling(out)
-    crash_point("fsio.before-tmp-write", path=out)
+    fault_point("fsio.before-tmp-write", path=out)
     with open(tmp, "wb") as handle:
         handle.write(data)
         handle.flush()
@@ -84,6 +84,6 @@ def write_durable_bytes(target: str | Path, data: bytes) -> Path:
             os.fsync(handle.fileno())
         except OSError:  # pragma: no cover - fs without fsync
             pass
-    crash_point("fsio.after-tmp-fsync", path=out, torn_file=tmp)
+    fault_point("fsio.after-tmp-fsync", path=out, torn_file=tmp)
     durable_replace(tmp, out)
     return out

@@ -9,7 +9,8 @@ import pytest
 from repro.caliper import calipack
 from repro.caliper.cali import read_cali, serialize_cali, write_cali
 from repro.caliper.records import CaliProfile, RegionRecord
-from repro.faults import FaultInjector, FaultKind, FaultSpec
+from repro import faults
+from repro.faults import Fault, FaultPlan
 from repro.suite.executor import SuiteExecutor
 from repro.suite.fsck import fsck_directory
 from repro.suite.run_params import RunParams
@@ -96,8 +97,8 @@ def test_interrupted_append_is_dropped_and_writer_recovers(tmp_path):
     archive = tmp_path / "seg.calipack"
     writer = calipack.CalipackWriter(archive)
     writer.append_profile("a.cali", make_profile("a"))
-    with FaultInjector(
-        [FaultSpec(kind=FaultKind.IO_WRITE_FAILURE, path="b.cali")]
+    with FaultPlan(
+        [Fault(site="calipack.append", path="b.cali")]
     ):
         with pytest.raises(OSError):
             writer.append_profile("b.cali", make_profile("b"))
@@ -199,9 +200,7 @@ def test_merged_archive_is_byte_stable_across_creation_order(tmp_path):
 
 
 def _merge_armed(directory, schedule):
-    from repro.chaos.points import arm
-
-    arm(schedule)
+    faults.install(FaultPlan([schedule]))
     calipack.merge_segments(directory)
 
 
@@ -212,7 +211,7 @@ def test_remerge_after_partial_segment_unlink_is_idempotent(tmp_path):
     merge must converge on byte-identical output."""
     import multiprocessing
 
-    from repro.chaos.points import CHAOS_KILL_EXITCODE, ChaosSchedule
+    from repro.faults import CHAOS_KILL_EXITCODE
 
     def seed_segments(outdir):
         seg_dir = outdir / calipack.SEGMENT_DIR
@@ -229,10 +228,10 @@ def test_remerge_after_partial_segment_unlink_is_idempotent(tmp_path):
 
     crashed = tmp_path / "crashed"
     seed_segments(crashed)
-    schedule = ChaosSchedule(
-        point="calipack.post-merge-unlink",
+    schedule = Fault(
+        site="calipack.post-merge-unlink",
         hit=1,
-        mode="exit",
+        action="exit",
         torn=False,
         seed=0,
         token=str(tmp_path / "strike.token"),

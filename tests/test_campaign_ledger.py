@@ -22,7 +22,7 @@ import sys
 import pytest
 
 from repro.caliper import calipack
-from repro.chaos.points import ENV_VAR, ChaosCrash, ChaosSchedule, arm, disarm
+from repro.faults import ENV_VAR, ChaosCrash, Fault, FaultPlan, install
 from repro.service.jobstore import JobStore, params_from_spec
 from repro.service.scheduler import JobScheduler, SchedulerConfig
 from repro.suite import MANIFEST_NAME, RunParams, SuiteExecutor
@@ -71,12 +71,12 @@ def _params(tmp_path, **overrides) -> RunParams:
 
 def _crash_serial_after(params, cells: int) -> None:
     """Run ``params`` serially, crashing right after the ``cells``-th cell."""
-    arm(ChaosSchedule(point="executor.post-cell", hit=cells))
+    install(FaultPlan([Fault(site="executor.post-cell", hit=cells)]))
     try:
         with pytest.raises(ChaosCrash):
             SuiteExecutor(params).run(write_files=True)
     finally:
-        disarm()
+        install(None)
 
 
 def _read(directory) -> CampaignManifest:
@@ -90,13 +90,13 @@ def _ok(manifest: CampaignManifest) -> set[str]:
 def test_killed_supervisor_ledger_resumes_byte_identical(tmp_path):
     golden, crashed = tmp_path / "golden", tmp_path / "crashed"
     assert _cli([*_SUPERVISED_RUN, "--output-dir", str(golden)], tmp_path) == 0
-    schedule = ChaosSchedule(
-        point="supervisor.post-record", hit=3, mode="exit",
+    schedule = Fault(
+        site="supervisor.post-record", hit=3, action="exit",
         token=str(tmp_path / "strike.token"),
     )
     code = _cli(
         [*_SUPERVISED_RUN, "--output-dir", str(crashed)],
-        tmp_path, env={ENV_VAR: schedule.to_json()},
+        tmp_path, env={ENV_VAR: FaultPlan([schedule]).to_json()},
     )
     assert code == 77
     # The kill left no snapshot: the survivors live in the ledger alone.
@@ -178,12 +178,12 @@ def test_replay_is_idempotent_across_a_crash_inside_compaction(tmp_path):
     victim.write_bytes(victim.read_bytes()[:-10])
     # fsck appends the demotion, then compacts; strike right after the
     # snapshot replace, before the ledger unlink.
-    arm(ChaosSchedule(point="fsio.after-replace", hit=1))
+    install(FaultPlan([Fault(site="fsio.after-replace", hit=1)]))
     try:
         with pytest.raises(ChaosCrash):
             fsck_directory(tmp_path)
     finally:
-        disarm()
+        install(None)
     ledger = tmp_path / "campaign_manifest.ledger"
     assert ledger.exists()
     demoted = [k for k, v in _read(tmp_path).cells.items() if v["status"] != "ok"]

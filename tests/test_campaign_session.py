@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.caliper import calipack
-from repro.chaos.points import ChaosCrash, ChaosSchedule, arm, disarm
+from repro.faults import ChaosCrash, Fault, FaultPlan, install
 from repro.suite import MANIFEST_NAME, RunParams, SuiteExecutor
 
 
@@ -76,12 +76,12 @@ def test_serial_supervised_and_sharded_runs_keep_identical_books(tmp_path):
 
 def test_in_memory_resume_leaves_the_campaign_directory_untouched(tmp_path):
     params = _params(tmp_path)
-    arm(ChaosSchedule(point="executor.post-cell", hit=2))
+    install(FaultPlan([Fault(site="executor.post-cell", hit=2)]))
     try:
         with pytest.raises(ChaosCrash):
             SuiteExecutor(params).run(write_files=True)
     finally:
-        disarm()
+        install(None)
     # The crash left its two records in the ledger alone.
     assert (tmp_path / "campaign_manifest.ledger").exists()
     assert not (tmp_path / MANIFEST_NAME).exists()

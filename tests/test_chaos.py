@@ -8,27 +8,33 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import points as chaos_points
+from repro import faults
 from repro.chaos.invariants import (
     check_completed_cells_remembered,
     check_full_cell_set,
     check_sealed_preserved,
     snapshot_store,
 )
-from repro.chaos.points import (
+from repro.faults import (
     CHAOS_KILL_EXITCODE,
-    REGISTERED_POINTS,
+    CRASH_POINTS,
+    SITES,
     ChaosCrash,
-    ChaosSchedule,
-    arm,
-    armed_schedule,
-    crash_point,
-    disarm,
-    point_names,
+    Fault,
+    FaultPlan,
+    fault_point,
 )
 from repro.cli import exitcodes
 from repro.cli.main import main
 from repro.util.fsio import TMP_GLOB, tmp_sibling, write_durable_text
+
+
+def arm(fault):
+    faults.install(FaultPlan([fault]))
+
+
+def disarm():
+    faults.install(None)
 
 
 @pytest.fixture(autouse=True)
@@ -42,90 +48,92 @@ def _disarmed():
 # ---------------------------------------------------------------- points
 class TestChaosSchedule:
     def test_unknown_point_rejected(self):
-        with pytest.raises(ValueError, match="unknown crash point"):
-            ChaosSchedule(point="no.such-point")
+        with pytest.raises(ValueError, match="unknown fault site"):
+            Fault(site="no.such-point")
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            ChaosSchedule(point="manifest.pre-save", mode="explode")
+        with pytest.raises(ValueError, match="supports actions"):
+            Fault(site="manifest.pre-save", action="explode")
 
     def test_bad_hit_rejected(self):
         with pytest.raises(ValueError, match="hit"):
-            ChaosSchedule(point="manifest.pre-save", hit=0)
+            Fault(site="manifest.pre-save", hit=0)
 
     def test_json_roundtrip(self):
-        sched = ChaosSchedule(
-            point="fsio.before-replace", hit=3, mode="exit",
+        sched = Fault(
+            site="fsio.before-replace", hit=3, action="exit",
             torn=True, seed=42, token="/tmp/tok",
         )
-        back = ChaosSchedule.from_json(sched.to_json())
-        assert (back.point, back.hit, back.mode, back.torn, back.seed,
-                back.token) == (sched.point, sched.hit, sched.mode,
+        (back,) = FaultPlan.parse(FaultPlan([sched]).to_json()).faults
+        assert (back.site, back.hit, back.action, back.torn, back.seed,
+                back.token) == (sched.site, sched.hit, sched.action,
                                 sched.torn, sched.seed, sched.token)
 
     def test_registry_covers_both_phases_and_modes(self):
-        specs = REGISTERED_POINTS.values()
+        specs = [SITES[name] for name in CRASH_POINTS]
         assert any(s.phase == "analyze" for s in specs)
         assert any(s.modes == ("serial",) for s in specs)
         assert any(s.modes == ("supervised",) for s in specs)
         assert any(s.torn for s in specs)
-        assert point_names() == list(REGISTERED_POINTS)
+        assert list(CRASH_POINTS) == [
+            name for name, site in SITES.items() if site.phase != "cell"
+        ]
 
 
 class TestCrashPointMechanics:
     def test_noop_when_disarmed(self, tmp_path):
-        crash_point("manifest.pre-save", path=tmp_path / "x")  # no raise
+        fault_point("manifest.pre-save", path=tmp_path / "x")  # no raise
 
     def test_armed_fires_chaoscrash(self):
-        arm(ChaosSchedule(point="manifest.pre-save"))
+        arm(Fault(site="manifest.pre-save"))
         with pytest.raises(ChaosCrash):
-            crash_point("manifest.pre-save")
+            fault_point("manifest.pre-save")
 
     def test_other_points_pass_through(self):
-        arm(ChaosSchedule(point="manifest.pre-save"))
-        crash_point("fsio.before-tmp-write")  # different point: no strike
+        arm(Fault(site="manifest.pre-save"))
+        fault_point("fsio.before-tmp-write")  # different point: no strike
 
     def test_occurrence_counting(self):
-        arm(ChaosSchedule(point="manifest.pre-save", hit=3))
-        crash_point("manifest.pre-save")
-        crash_point("manifest.pre-save")
+        arm(Fault(site="manifest.pre-save", hit=3))
+        fault_point("manifest.pre-save")
+        fault_point("manifest.pre-save")
         with pytest.raises(ChaosCrash):
-            crash_point("manifest.pre-save")
+            fault_point("manifest.pre-save")
 
     def test_unregistered_name_guard_when_armed(self):
-        arm(ChaosSchedule(point="manifest.pre-save"))
+        arm(Fault(site="manifest.pre-save"))
         with pytest.raises(ValueError, match="unregistered"):
-            crash_point("totally.bogus")
+            fault_point("totally.bogus")
 
     def test_token_fires_exactly_once(self, tmp_path):
         token = tmp_path / "strike.token"
-        arm(ChaosSchedule(point="manifest.pre-save", token=str(token)))
+        arm(Fault(site="manifest.pre-save", token=str(token)))
         with pytest.raises(ChaosCrash):
-            crash_point("manifest.pre-save")
+            fault_point("manifest.pre-save")
         assert token.exists()
         # Re-arm (fresh count) with the same token: already claimed.
-        arm(ChaosSchedule(point="manifest.pre-save", token=str(token)))
-        crash_point("manifest.pre-save")  # passes through
+        arm(Fault(site="manifest.pre-save", token=str(token)))
+        fault_point("manifest.pre-save")  # passes through
 
     def test_env_propagation_roundtrip(self):
-        arm(ChaosSchedule(point="calipack.pre-index", hit=2))
-        raw = os.environ[chaos_points.ENV_VAR]
-        assert ChaosSchedule.from_json(raw).point == "calipack.pre-index"
+        arm(Fault(site="calipack.pre-index", hit=2))
+        raw = os.environ[faults.ENV_VAR]
+        assert FaultPlan.parse(raw).faults[0].site == "calipack.pre-index"
         disarm()
-        assert chaos_points.ENV_VAR not in os.environ
-        assert armed_schedule() is None
+        assert faults.ENV_VAR not in os.environ
+        assert faults.installed() is None
 
     def test_torn_prefix_deterministic(self):
-        a = chaos_points._torn_prefix(7, "f.cali.tmp", 100)
-        b = chaos_points._torn_prefix(7, "f.cali.tmp", 100)
-        c = chaos_points._torn_prefix(8, "f.cali.tmp", 100)
+        a = faults._torn_prefix(7, "f.cali.tmp", 100)
+        b = faults._torn_prefix(7, "f.cali.tmp", 100)
+        c = faults._torn_prefix(8, "f.cali.tmp", 100)
         assert a == b and 0 <= a <= 100
         assert (7, a) != (8, c) or a == c  # different seed may differ
 
     def test_tear_respects_base(self, tmp_path):
         f = tmp_path / "x.bin"
         f.write_bytes(b"A" * 64 + b"B" * 64)
-        chaos_points._tear(str(f), torn_base=64, seed=0)
+        faults._tear(str(f), torn_base=64, seed=0)
         data = f.read_bytes()
         assert 64 <= len(data) <= 128
         assert data[:64] == b"A" * 64  # durable prefix intact
@@ -142,7 +150,7 @@ class TestDurableWriteAtomicity:
     def test_pre_replace_crash_leaves_old_content(self, tmp_path, point):
         target = tmp_path / "ledger.json"
         write_durable_text(target, "old")
-        arm(ChaosSchedule(point=point))
+        arm(Fault(site=point))
         with pytest.raises(ChaosCrash):
             write_durable_text(target, "new")
         assert target.read_text() == "old"
@@ -154,7 +162,7 @@ class TestDurableWriteAtomicity:
     def test_post_replace_crash_leaves_new_content(self, tmp_path, point):
         target = tmp_path / "ledger.json"
         write_durable_text(target, "old")
-        arm(ChaosSchedule(point=point))
+        arm(Fault(site=point))
         with pytest.raises(ChaosCrash):
             write_durable_text(target, "new")
         assert target.read_text() == "new"
@@ -162,7 +170,7 @@ class TestDurableWriteAtomicity:
     def test_torn_tmp_never_reaches_target(self, tmp_path):
         target = tmp_path / "ledger.json"
         write_durable_text(target, "old")
-        arm(ChaosSchedule(point="fsio.after-tmp-fsync", torn=True, seed=3))
+        arm(Fault(site="fsio.after-tmp-fsync", torn=True, seed=3))
         with pytest.raises(ChaosCrash):
             write_durable_text(target, "x" * 4096)
         assert target.read_text() == "old"

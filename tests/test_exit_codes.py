@@ -126,7 +126,7 @@ def _provoke_job_not_found(tmp):
 
 
 def _provoke_worker_crash(tmp):
-    from repro.faults import FaultKind, FaultSpec
+    from repro.faults import Fault, FaultPlan
     from repro.suite.run_params import RunParams
     from repro.suite.worker import CellTask, worker_main
 
@@ -141,10 +141,10 @@ def _provoke_worker_crash(tmp):
     ))
     child = _CTX.Process(
         target=worker_main,
-        args=(0, params, task_q, result_q, heartbeat_q,
-              [FaultSpec(kind=FaultKind.WORKER_CRASH)], False),
+        args=(0, params, task_q, result_q, heartbeat_q, False),
     )
-    child.start()
+    with FaultPlan([Fault(site="worker.pre-cell")]):  # inherited by fork
+        child.start()
     child.join(60.0)
     assert not child.is_alive()
     return child.exitcode
@@ -179,12 +179,12 @@ def _provoke_job_orphaned(tmp):
 
 
 def _provoke_chaos_kill(tmp):
-    from repro.chaos.points import ENV_VAR, ChaosSchedule
+    from repro.faults import ENV_VAR, Fault, FaultPlan
 
-    schedule = ChaosSchedule(point="manifest.pre-save", hit=1, mode="exit")
+    schedule = Fault(site="manifest.pre-save", hit=1, action="exit")
     return _cli(
         [*_RUN_SMALL, "--output-dir", str(tmp)],
-        tmp, env={ENV_VAR: schedule.to_json()},
+        tmp, env={ENV_VAR: FaultPlan([schedule]).to_json()},
     )
 
 

@@ -22,7 +22,7 @@ from repro.caliper.cali import (
     verify_cali,
     write_cali,
 )
-from repro.faults import FaultInjector, FaultKind, FaultSpec
+from repro.faults import Fault, FaultPlan
 from repro.suite import MANIFEST_NAME, RunParams, SuiteExecutor
 from repro.suite.errors import CampaignLockedError
 from repro.suite.fsck import QUARANTINE_DIR, fsck_directory
@@ -106,10 +106,10 @@ def test_injected_footer_corruption_lands_complete_but_unverifiable(tmp_path):
         kernels=("Basic_DAXPY",),
         output_dir=str(tmp_path),
     )
-    injector = FaultInjector(
-        [FaultSpec(kind=FaultKind.FOOTER_CORRUPTION, path="*Base_Seq*")]
+    injector = FaultPlan(
+        [Fault(site="profile.seal", action="corrupt", path="*Base_Seq*")]
     )
-    with injector:  # write_cali consults the process-wide injector
+    with injector:  # write_cali consults the installed plan
         result = SuiteExecutor(params).run(write_files=True)
     assert len(result.cali_paths) == 1  # the write itself succeeded
     status, detail = verify_cali(result.cali_paths[0])

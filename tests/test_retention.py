@@ -24,7 +24,7 @@ from repro.caliper.calipack import (
 )
 from repro.caliper.cali import footer_line
 from repro.chaos import invariants
-from repro.chaos.points import REGISTERED_POINTS
+from repro.faults import SITES
 from repro.cli import exitcodes
 from repro.cli.main import main
 from repro.service import admission
@@ -551,7 +551,7 @@ def test_scrubber_thread_runs_passes(tmp_path):
 def test_raise_mode_strike_then_recovery_converges(tmp_path, point):
     """In-process chaos: a strike at either GC boundary leaves a state
     the next (unarmed) pass converges from, with I7 clean."""
-    from repro.chaos.points import ChaosCrash, ChaosSchedule, arm, disarm
+    from repro.faults import ChaosCrash, Fault, FaultPlan, install
 
     store = _store(tmp_path)
     _terminal_job(store, "gc-old")
@@ -560,12 +560,12 @@ def test_raise_mode_strike_then_recovery_converges(tmp_path, point):
         job_id: invariants.snapshot_store(store.campaign_dir(job_id))
         for job_id in ("gc-old", "gc-young")
     }
-    arm(ChaosSchedule(point=point))
+    install(FaultPlan([Fault(site=point)]))
     try:
         with pytest.raises(ChaosCrash):
             gc(store, RetentionPolicy(max_terminal_jobs=1))
     finally:
-        disarm()
+        install(None)
     if point == "retention.pre-tombstone":
         # The strike landed before the condemnation: fully live.
         assert store.load("gc-old") is not None
@@ -581,7 +581,7 @@ def test_raise_mode_strike_then_recovery_converges(tmp_path, point):
 
 
 def test_compact_swap_strike_leaves_archive_bit_identical(tmp_path):
-    from repro.chaos.points import ChaosCrash, ChaosSchedule, arm, disarm
+    from repro.faults import ChaosCrash, Fault, FaultPlan, install
 
     archive = tmp_path / ARCHIVE_NAME
     _build_archive(archive, {"a.cali": _sealed("a-old", 100)})
@@ -589,16 +589,16 @@ def test_compact_swap_strike_leaves_archive_bit_identical(tmp_path):
     writer.append_bytes("a.cali", _sealed("a-new", 30))
     writer.close()
     pristine = archive.read_bytes()
-    arm(
-        ChaosSchedule(
-            point="retention.pre-compact-swap", torn=True, seed=3
-        )
+    install(
+        FaultPlan([Fault(
+            site="retention.pre-compact-swap", torn=True, seed=3
+        )])
     )
     try:
         with pytest.raises(ChaosCrash):
             compact_archive(archive)
     finally:
-        disarm()
+        install(None)
     assert archive.read_bytes() == pristine  # original untouched
     assert list(tmp_path.glob("*" + COMPACT_SCRATCH_SUFFIX))  # orphan
     report = compact_archive(archive)  # unarmed retry converges
@@ -615,10 +615,10 @@ def test_retention_chaos_points_registered():
         "retention.mid-delete",
         "retention.pre-compact-swap",
     ):
-        spec = REGISTERED_POINTS[name]
+        spec = SITES[name]
         assert spec.phase == "retention"
         assert spec.modes == ("service",)
-    assert REGISTERED_POINTS["retention.pre-compact-swap"].torn
+    assert SITES["retention.pre-compact-swap"].torn
 
 
 def test_check_retention_passes_on_converged_states(tmp_path):

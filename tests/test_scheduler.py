@@ -455,7 +455,7 @@ def test_worker_crash_mid_batch_requeues_only_unstarted_cells(tmp_path):
     """Satellite (chaos spot-check): killing a worker mid-batch charges
     an attempt only to the in-progress cell; cells queued behind it in
     the batch requeue verbatim and the campaign completes clean."""
-    from repro.faults import FaultInjector, FaultKind, FaultSpec
+    from repro.faults import Fault, FaultPlan
 
     params = _campaign_params(
         tmp_path,
@@ -465,17 +465,18 @@ def test_worker_crash_mid_batch_requeues_only_unstarted_cells(tmp_path):
         batch_cells=8,
         schedule="fifo",  # deterministic dispatch order
     )
-    injector = FaultInjector(
+    plan = FaultPlan(
         [
-            FaultSpec(
-                kind=FaultKind.WORKER_CRASH,
+            Fault(
+                site="worker.pre-cell",
                 variant="RAJA_Seq",
                 trial=1,
                 attempt=1,
             )
         ]
     )
-    result = SuiteExecutor(params, injector=injector).run(write_files=True)
+    with plan:
+        result = SuiteExecutor(params).run(write_files=True)
     assert result.report.cell_counts() == {"ok": 8}
     assert result.report.clean
     crash = [r for r in result.report.records if r.kernel == "<worker crash>"]

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.chaos import invariants
-from repro.chaos.points import REGISTERED_POINTS
+from repro.faults import SITES
 from repro.service import admission
 from repro.service.admission import AdmissionDecision, AdmissionPolicy
 from repro.service.api import ServiceAPI, analysis_payload
@@ -540,7 +540,7 @@ def test_service_chaos_points_are_registered():
         "service.post-claim",
         "service.mid-drain",
     ):
-        spec = REGISTERED_POINTS[name]
+        spec = SITES[name]
         assert spec.phase == "service"
         assert spec.modes == ("service",)
 

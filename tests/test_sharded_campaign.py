@@ -19,9 +19,8 @@ import pytest
 
 from repro.caliper import calipack
 from repro.chaos import invariants
-from repro.chaos.points import CHAOS_KILL_EXITCODE, ChaosSchedule, arm
 from repro.cli.main import main
-from repro.faults import FaultInjector, FaultKind, FaultSpec
+from repro.faults import CHAOS_KILL_EXITCODE, Fault, FaultPlan, install
 from repro.suite.coordinator import ShardMap, shard_status
 from repro.suite.errors import CampaignLockedError
 from repro.suite.executor import SuiteExecutor
@@ -77,7 +76,7 @@ def _thicket(outdir):
 
 
 def _armed_campaign(params, schedule):
-    arm(schedule)
+    install(FaultPlan([schedule]))
     SuiteExecutor(params).run(write_files=True)
 
 
@@ -89,9 +88,9 @@ def _run_armed(params, schedule) -> int:
     return child.exitcode
 
 
-def _schedule(point, token, hit=1) -> ChaosSchedule:
-    return ChaosSchedule(
-        point=point, hit=hit, mode="exit", torn=False, seed=0, token=str(token)
+def _schedule(point, token, hit=1) -> Fault:
+    return Fault(
+        site=point, hit=hit, action="exit", torn=False, seed=0, token=str(token)
     )
 
 
@@ -126,13 +125,13 @@ def test_more_shards_than_cells_completes(tmp_path):
 
 
 def test_active_fault_injector_reaches_the_shards(tmp_path):
-    """Shards inherit the installed injector by fork: a permanent kernel
+    """Shards inherit the installed plan by fork: a permanent kernel
     fault fails exactly its cell, and the campaign still completes."""
     params = _params(tmp_path, shards=2)
-    fault = FaultSpec(
-        kind=FaultKind.KERNEL_EXCEPTION, variant="RAJA_Seq", trial=1, times=None
+    fault = Fault(
+        site="executor.kernel", variant="RAJA_Seq", trial=1, times=None
     )
-    with FaultInjector([fault]):
+    with FaultPlan([fault]):
         result = SuiteExecutor(params).run(write_files=True)
     assert result.report.cell_counts() == {"ok": 3, "failed": 1}
     cells = _manifest_cells(tmp_path)

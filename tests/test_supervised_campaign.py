@@ -12,7 +12,7 @@ import signal
 
 import pytest
 
-from repro.faults import FaultInjector, FaultKind, FaultSpec
+from repro.faults import Fault, FaultPlan
 from repro.suite import MANIFEST_NAME, RunParams, SuiteExecutor
 from repro.suite.heartbeat import HeartbeatMonitor
 from repro.suite.manifest import CampaignManifest
@@ -95,17 +95,18 @@ def test_worker_crash_costs_one_attempt_not_the_campaign(tmp_path):
     """Acceptance: a worker_crash on one cell of a --workers 4 campaign
     completes with the crashed cell retried and the manifest all ok."""
     params = _params(tmp_path, workers=4)
-    injector = FaultInjector(
+    plan = FaultPlan(
         [
-            FaultSpec(
-                kind=FaultKind.WORKER_CRASH,
+            Fault(
+                site="worker.pre-cell",
                 variant="RAJA_Seq",
                 trial=1,
                 attempt=1,
             )
         ]
     )
-    result = SuiteExecutor(params, injector=injector).run(write_files=True)
+    with plan:
+        result = SuiteExecutor(params).run(write_files=True)
     assert result.report.cell_counts() == {"ok": 4}
     assert result.report.clean
     crash_records = [
@@ -123,19 +124,18 @@ def test_worker_crash_is_deterministic(tmp_path):
     """Same specs, same campaign -> same recovery story, twice."""
     stories = []
     for sub in ("a", "b"):
-        injector = FaultInjector(
+        plan = FaultPlan(
             [
-                FaultSpec(
-                    kind=FaultKind.WORKER_CRASH,
+                Fault(
+                    site="worker.pre-cell",
                     variant="RAJA_Seq",
                     trial=0,
                     attempt=1,
                 )
             ]
         )
-        result = SuiteExecutor(
-            _params(tmp_path / sub), injector=injector
-        ).run(write_files=True)
+        with plan:
+            result = SuiteExecutor(_params(tmp_path / sub)).run(write_files=True)
         stories.append(
             (
                 result.report.cell_counts(),
@@ -156,10 +156,10 @@ def test_worker_crash_budget_exhaustion_fails_only_that_cell(tmp_path):
     """A cell that crashes its worker on every attempt is marked failed;
     the other cells still complete."""
     params = _params(tmp_path, max_attempts=2)
-    injector = FaultInjector(
+    plan = FaultPlan(
         [
-            FaultSpec(
-                kind=FaultKind.WORKER_CRASH,
+            Fault(
+                site="worker.pre-cell",
                 variant="RAJA_Seq",
                 trial=1,
                 attempt="*",
@@ -167,7 +167,8 @@ def test_worker_crash_budget_exhaustion_fails_only_that_cell(tmp_path):
             )
         ]
     )
-    result = SuiteExecutor(params, injector=injector).run(write_files=True)
+    with plan:
+        result = SuiteExecutor(params).run(write_files=True)
     assert result.report.cell_counts() == {"ok": 3, "failed": 1}
     assert result.report.cells["SPR-DDR|RAJA_Seq|default|trial1"] == "failed"
     final = [
@@ -183,10 +184,10 @@ def test_worker_crash_budget_exhaustion_fails_only_that_cell(tmp_path):
 
 def test_stale_heartbeat_worker_is_killed_and_cell_requeued(tmp_path):
     params = _params(tmp_path, heartbeat_timeout=0.5)
-    injector = FaultInjector(
+    plan = FaultPlan(
         [
-            FaultSpec(
-                kind=FaultKind.STALE_HEARTBEAT,
+            Fault(
+                site="worker.pre-cell", action="hang",
                 variant="Base_Seq",
                 trial=0,
                 attempt=1,
@@ -194,7 +195,8 @@ def test_stale_heartbeat_worker_is_killed_and_cell_requeued(tmp_path):
             )
         ]
     )
-    result = SuiteExecutor(params, injector=injector).run(write_files=True)
+    with plan:
+        result = SuiteExecutor(params).run(write_files=True)
     assert result.report.cell_counts() == {"ok": 4}
     stale = [r for r in result.report.records if r.kernel == "<worker crash>"]
     assert len(stale) == 1

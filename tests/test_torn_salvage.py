@@ -132,7 +132,7 @@ class TestArchiveTruncationSweep:
         assert {e.name for e in entries} == set(payloads)
 
     def test_seeded_sweep_is_deterministic(self, archive):
-        from repro.chaos.points import _torn_prefix
+        from repro.faults import _torn_prefix
 
         _, pristine, _ = archive
         span = len(pristine)
