@@ -503,11 +503,6 @@ def is_nonscalar_attr(value: object) -> bool:
     return isinstance(value, (dict, list))
 
 
-def entry_passes(entry: ArchiveEntry, expr) -> bool:
-    """False only when ``expr`` *provably* rejects this entry's attrs."""
-    return attrs_pass(entry.attrs, expr)
-
-
 def attrs_pass(attrs: dict | None, expr) -> bool:
     """False only when ``expr`` *provably* rejects these indexed attrs.
 
@@ -648,6 +643,25 @@ def verify_entry(path: str | Path, entry: ArchiveEntry) -> tuple[str, str]:
 
 
 # --------------------------------------------------------------- conversion
+def write_archive(path: Path, items) -> None:
+    """Write a fresh sealed archive at ``path`` from ``(name, bytes)``
+    pairs, in order — the one rebuild every rewrite of an archive uses.
+
+    Any error while the pairs are produced or appended aborts the writer
+    and removes the partial file before it propagates; the caller owns
+    the scratch name and the swap into place.
+    """
+    writer = CalipackWriter(path)
+    try:
+        for name, data in items:
+            writer.append_bytes(name, data)
+    except BaseException:
+        writer.abort()
+        path.unlink(missing_ok=True)
+        raise
+    writer.close()
+
+
 def pack_directory(
     directory: str | Path,
     archive: str | Path | None = None,
@@ -665,18 +679,15 @@ def pack_directory(
     target = Path(archive) if archive is not None else directory / ARCHIVE_NAME
     files = sorted(directory.glob("*.cali"))
     tmp = tmp_sibling(target)
-    writer = CalipackWriter(tmp)
-    try:
+
+    def items():
         if target.exists():  # repack: carry existing entries over
             for entry in load_entries(target):
-                writer.append_bytes(entry.name, read_entry_bytes(target, entry))
+                yield entry.name, read_entry_bytes(target, entry)
         for path in files:
-            writer.append_bytes(path.name, path.read_bytes())
-    except BaseException:
-        writer.abort()
-        tmp.unlink(missing_ok=True)
-        raise
-    writer.close()
+            yield path.name, path.read_bytes()
+
+    write_archive(tmp, items())
     durable_replace(tmp, target)
     entries = load_index(target)
     if remove:
@@ -773,21 +784,13 @@ def _merge_archives(sources: list[Path], target: Path) -> Path:
         for entry in load_entries(source):
             entries[entry.name] = (source, entry)
     tmp = tmp_sibling(target)
-    writer = CalipackWriter(tmp)
-    try:
-        for name in sorted(entries):
-            source, entry = entries[name]
-            # verify=False: damaged entries carry over byte-for-byte —
-            # detecting and quarantining them is fsck's job, and a merge
-            # must never fail a campaign over one bad profile.
-            writer.append_bytes(
-                name, read_entry_bytes(source, entry, verify=False)
-            )
-    except BaseException:
-        writer.abort()
-        tmp.unlink(missing_ok=True)
-        raise
-    writer.close()
+    # verify=False: damaged entries carry over byte-for-byte — detecting
+    # and quarantining them is fsck's job, and a merge must never fail a
+    # campaign over one bad profile.
+    write_archive(tmp, (
+        (name, read_entry_bytes(*entries[name], verify=False))
+        for name in sorted(entries)
+    ))
     durable_replace(tmp, target)
     return target
 

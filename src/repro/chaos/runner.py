@@ -48,8 +48,8 @@ from pathlib import Path
 
 from repro.caliper import calipack
 from repro.chaos import invariants
+from repro.cli.exitcodes import CHAOS_KILL
 from repro.faults import (
-    CHAOS_KILL_EXITCODE,
     CRASH_POINTS,
     SITES,
     Fault,
@@ -641,8 +641,8 @@ class ChaosRunner:
         # Phase 1: the armed run. Exit 0 = completed (point unreached, or
         # a worker/shard crash the supervising process healed in-flight).
         code = self._spawn(_run_armed_campaign, params, schedule)
-        verdict.killed = code == CHAOS_KILL_EXITCODE
-        if code not in (0, CHAOS_KILL_EXITCODE):
+        verdict.killed = code == CHAOS_KILL
+        if code not in (0, CHAOS_KILL):
             verdict.violations.append(
                 f"armed campaign died with unexpected exit code {code}"
             )
@@ -729,8 +729,8 @@ class ChaosRunner:
             schedule,
             spec.name == "service.mid-drain",
         )
-        verdict.killed = code == CHAOS_KILL_EXITCODE
-        if code not in (0, CHAOS_KILL_EXITCODE):
+        verdict.killed = code == CHAOS_KILL
+        if code not in (0, CHAOS_KILL):
             verdict.violations.append(
                 f"armed service died with unexpected exit code {code}"
             )
@@ -833,8 +833,8 @@ class ChaosRunner:
 
         # Phase 1: the armed GC + compaction pass.
         code = self._spawn(_run_armed_retention, str(root), schedule)
-        verdict.killed = code == CHAOS_KILL_EXITCODE
-        if code not in (0, CHAOS_KILL_EXITCODE):
+        verdict.killed = code == CHAOS_KILL
+        if code not in (0, CHAOS_KILL):
             verdict.violations.append(
                 f"armed retention pass died with unexpected exit code {code}"
             )
@@ -934,8 +934,8 @@ class ChaosRunner:
         code = self._spawn(
             _run_armed_analyze, sources, str(cache_dir), schedule
         )
-        verdict.killed = code == CHAOS_KILL_EXITCODE
-        if code not in (0, CHAOS_KILL_EXITCODE):
+        verdict.killed = code == CHAOS_KILL
+        if code not in (0, CHAOS_KILL):
             verdict.violations.append(
                 f"armed analyze died with unexpected exit code {code}"
             )
@@ -1101,7 +1101,7 @@ class ChaosRunner:
                 token=str(self.workdir / "selftest-noresume.token"),
             )
             code = self._spawn(_run_armed_campaign, params, schedule)
-            if code != CHAOS_KILL_EXITCODE:
+            if code != CHAOS_KILL:
                 raise RuntimeError(
                     f"armed campaign exited {code}, expected a chaos kill"
                 )

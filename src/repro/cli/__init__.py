@@ -1,5 +1,6 @@
-"""Command-line interface (the ``rajaperf-sim`` executable)."""
+"""Command-line interface (the ``rajaperf-sim`` executable).
 
-from repro.cli.main import build_parser, main
-
-__all__ = ["main", "build_parser"]
+The package imports nothing on its own: ``repro.cli.exitcodes`` stays a
+leaf any module may import, and ``python -m repro.cli.main`` runs the
+entry point without a second, conflicting import of it.
+"""

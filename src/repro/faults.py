@@ -16,7 +16,7 @@ Two families of sites share the registry:
   campaign loops). A fault here dies *inside* the hook: ``raise``
   throws :class:`ChaosCrash` (a ``BaseException``, so ordinary handlers
   never swallow it) and ``exit`` calls ``os._exit`` with
-  :data:`CHAOS_KILL_EXITCODE` — no ``finally``, no ``atexit``, the
+  :data:`repro.cli.exitcodes.CHAOS_KILL` — no ``finally``, no ``atexit``, the
   closest a Python process gets to ``kill -9``. With ``torn`` it first
   truncates the in-flight file to a seeded prefix, the state a power
   cut leaves when the kernel had only partially flushed.
@@ -66,11 +66,9 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
-ENV_VAR = "REPRO_FAULTS"
+from repro.cli.exitcodes import CHAOS_KILL
 
-#: exit status of an ``os._exit`` chaos kill (``repro.cli.exitcodes``
-#: documents it; distinct from the worker-crash status 73)
-CHAOS_KILL_EXITCODE = 77
+ENV_VAR = "REPRO_FAULTS"
 
 
 class ChaosCrash(BaseException):
@@ -516,7 +514,7 @@ class FaultPlan:
         if fault.torn and torn_file is not None:
             _tear(str(torn_file), torn_base, fault.seed)
         if fault.action == "exit":
-            os._exit(CHAOS_KILL_EXITCODE)
+            os._exit(CHAOS_KILL)
         raise ChaosCrash(
             f"chaos crash at {site} (hit {fault.seen}"
             f"{', torn' if fault.torn else ''})"

@@ -480,10 +480,10 @@ def compact_archive(
     readable before the compaction is byte-identical after it.
     """
     from repro.caliper.calipack import (
-        CalipackWriter,
         read_entry_bytes,
         scan_frames,
         verify_entry,
+        write_archive,
     )
 
     path = Path(archive)
@@ -515,15 +515,7 @@ def compact_archive(
     # pass of this same process must not be resumed into (the writer's
     # resume semantics would keep its frames as superseded duplicates).
     scratch.unlink(missing_ok=True)
-    writer = CalipackWriter(scratch)
-    try:
-        for name in sorted(kept):
-            writer.append_bytes(name, kept[name])
-    except BaseException:
-        writer.abort()
-        scratch.unlink(missing_ok=True)
-        raise
-    writer.close()
+    write_archive(scratch, sorted(kept.items()))
     fault_point("retention.pre-compact-swap", path=path, torn_file=scratch)
     rebuilt = scratch.read_bytes()
     if rebuilt == path.read_bytes():

@@ -667,20 +667,11 @@ def _quarantine_archive_entries(
         )
         report.quarantined.append(target)
     tmp = tmp_sibling(archive)
-    writer = calipack.CalipackWriter(tmp)
-    try:
-        for entry in entries:
-            if entry.name in drop:
-                continue
-            writer.append_bytes(
-                entry.name,
-                calipack.read_entry_bytes(archive, entry, verify=False),
-            )
-    except BaseException:
-        writer.abort()
-        tmp.unlink(missing_ok=True)
-        raise
-    writer.close()
+    calipack.write_archive(tmp, (
+        (entry.name, calipack.read_entry_bytes(archive, entry, verify=False))
+        for entry in entries
+        if entry.name not in drop
+    ))
     durable_replace(tmp, archive)
 
 

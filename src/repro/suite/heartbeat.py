@@ -5,10 +5,11 @@ exits — a segfault equivalent) or *quietly* (the process is alive but
 wedged — a driver hang, an NFS stall). Process exit is visible to the
 supervisor directly; quiet death is only visible through missed
 heartbeats. Each worker runs a daemon :class:`HeartbeatEmitter` thread
-that puts ``(worker_id, seq)`` beats on a shared queue on a fixed
-cadence; the supervisor's :class:`HeartbeatMonitor` stamps arrivals with
-its *own* clock (worker clocks are never trusted) and reports workers
-whose last beat is older than the deadline.
+that sends a beat down the worker's private pipe on a fixed cadence;
+the supervisor stamps every message it reads off that pipe (a beat or a
+result) on its :class:`HeartbeatMonitor` with its *own* clock (worker
+clocks are never trusted) and reports workers whose last message is
+older than the deadline.
 
 The emitter beats even while the worker's main thread is busy in a
 kernel, so a long cell is not mistaken for a hang — only a genuinely
@@ -24,23 +25,25 @@ from collections.abc import Callable
 
 
 class HeartbeatEmitter:
-    """Daemon thread that beats ``(worker_id, seq)`` onto ``queue``.
+    """Daemon thread that calls ``send(seq)`` every ``interval`` seconds.
+
+    ``send`` must be safe to call alongside the worker's own sends (the
+    worker passes a lock-guarded ``Connection.send``).
 
     ``suppress()`` stops beats without stopping the thread — the hook
     the ``STALE_HEARTBEAT`` fault uses to simulate a wedged worker.
     """
 
-    def __init__(self, worker_id: int, queue, interval: float) -> None:
+    def __init__(self, send: Callable[[int], None], interval: float) -> None:
         if interval <= 0:
             raise ValueError(f"heartbeat interval must be > 0, got {interval}")
-        self.worker_id = worker_id
-        self.queue = queue
+        self.send = send
         self.interval = interval
         self._stop = threading.Event()
         self._suppressed = threading.Event()
         self._seq = 0
         self._thread = threading.Thread(
-            target=self._run, name=f"heartbeat-{worker_id}", daemon=True
+            target=self._run, name="heartbeat", daemon=True
         )
 
     def start(self) -> None:
@@ -56,8 +59,8 @@ class HeartbeatEmitter:
             return
         self._seq += 1
         try:
-            self.queue.put((self.worker_id, self._seq))
-        except (OSError, ValueError):  # queue closed during shutdown
+            self.send(self._seq)
+        except OSError:  # pipe closed: the supervisor is gone
             self._stop.set()
 
     def suppress(self) -> None:

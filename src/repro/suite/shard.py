@@ -139,7 +139,7 @@ class ShardLease(threading.Thread):
         self.index = index
         self.interval = max(interval, _ORPHAN_POLL_S)
         self.coordinator_pid = coordinator_pid
-        self._stop = threading.Event()
+        self._stopping = threading.Event()
         self._seq = 0
 
     def refresh(self) -> None:
@@ -158,17 +158,17 @@ class ShardLease(threading.Thread):
 
     def run(self) -> None:
         next_refresh = 0.0
-        while not self._stop.is_set():
+        while not self._stopping.is_set():
             now = time.monotonic()
             if now >= next_refresh:
                 self.refresh()
                 next_refresh = now + self.interval
             if os.getppid() != self.coordinator_pid:
                 os._exit(SHARD_ORPHANED)  # our coordinator is gone
-            self._stop.wait(_ORPHAN_POLL_S)
+            self._stopping.wait(_ORPHAN_POLL_S)
 
     def stop(self) -> None:
-        self._stop.set()
+        self._stopping.set()
 
 
 # ----------------------------------------------------------- entry point

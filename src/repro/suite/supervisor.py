@@ -21,7 +21,9 @@ Supervision model (the worker lifecycle state machine):
 
 * **Dead worker**: the process exited (an ``exit`` fault at the
   ``worker.pre-cell`` site does ``os._exit`` — the segfault
-  equivalent). Detected via ``Process.is_alive``; its in-flight cell
+  equivalent). Detected via its process sentinel and
+  ``Process.is_alive``, or as EOF (a message torn mid-send included)
+  on its private pipe; its in-flight cell
   is requeued with the next attempt number under the campaign's
   :class:`RetryPolicy` (per-cell backoff, jitter salted by cell key),
   and a replacement worker is spawned. A cell that exhausts ``max_attempts`` is marked failed —
@@ -48,15 +50,20 @@ Scheduling (PR 10): pending cells are ordered longest-first by the
 lpt``; ``fifo`` preserves sweep order), small cells coalesce into
 :class:`~repro.suite.worker.CellBatch` dispatch messages that shrink
 toward single cells as the tail drains (``--batch-cells``), and the
-loop blocks on a single select-style wait over the result/heartbeat
-queues and worker sentinels — it wakes O(events), not O(elapsed/50ms).
+loop blocks in one ``multiprocessing.connection.wait`` over the workers'
+pipes and process sentinels — it wakes O(events), not O(elapsed/50ms).
 None of it changes what a campaign produces: results are keyed by cell
 and the packed archive is canonicalized, so outputs are byte-identical
-across every knob setting. Each worker's
-``(worker_id,`` :class:`~repro.suite.session.CellOutcome` ``)``, profile
-included, crosses the result queue as one pickle: unpickling a
-region tree costs the supervisor less than re-parsing the profile's
-sealed ``.cali`` bytes would.
+across every knob setting.
+
+Transport: each worker owns one private duplex ``Pipe``. Cells and the
+poison pill go down it; heartbeats and each
+:class:`~repro.suite.session.CellOutcome`, profile included, come back
+as one pickle apiece (unpickling a region tree costs the supervisor less
+than re-parsing the profile's sealed ``.cali`` bytes would). Every
+message read is stamped as a beat. Nothing is shared between workers —
+no queue, no cross-process lock, no feeder thread — so a worker killed
+mid-send breaks its own pipe and no other worker's results.
 The cost-model pass also fills the campaign's
 :class:`~repro.suite.executor.ModelPlan`, which every worker inherits, so
 workers replay model output instead of evaluating the machine model.
@@ -65,13 +72,13 @@ workers replay model output instead of evaluating the machine model.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import signal
 import threading
 import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 from repro.suite.costmodel import CellCostModel
 from repro.suite.executor import ModelPlan
@@ -113,6 +120,16 @@ def _install_signal_handlers(on_signal):
     return previous
 
 
+def _drain(conn):
+    """Yield every message waiting on ``conn``; close it once it breaks
+    (EOF, or a message torn by its writer's death)."""
+    try:
+        while conn.poll():  # OSError once closed
+            yield conn.recv()
+    except (EOFError, OSError):
+        conn.close()
+
+
 def _kill(process) -> None:
     """Terminate a child process, escalating to SIGKILL (None: no-op)."""
     if process is None:
@@ -131,7 +148,9 @@ class _WorkerHandle:
 
     worker_id: int
     process: multiprocessing.Process
-    task_queue: object  # per-worker queue: exactly-once assignment tracking
+    #: the supervisor's end of the worker's private pipe; closed once it
+    #: breaks (EOF, a torn message), after which the worker is dead to us
+    conn: object
     #: in-flight cells, dispatch order. Workers execute and report in
     #: order, so after a death tasks[0] is the one that was running.
     tasks: deque = field(default_factory=deque)
@@ -191,28 +210,23 @@ class CampaignSupervisor:
         self._shutdown = True
 
     # -------------------------------------------------------------- workers
-    def _spawn_worker(self, result_queue, heartbeat_queue, write_files: bool,
+    def _spawn_worker(self, write_files: bool,
                       monitor: HeartbeatMonitor) -> _WorkerHandle:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        task_queue = self._ctx.Queue()
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(
-                worker_id,
-                self.params,
-                task_queue,
-                result_queue,
-                heartbeat_queue,
-                write_files,
-                self.model_plan,
-            ),
+            args=(worker_id, self.params, child_conn, write_files, self.model_plan),
             name=f"campaign-worker-{worker_id}",
             daemon=True,
         )
         process.start()
+        # Only the worker may hold its end: then its death reads as EOF
+        # on this pipe, and workers forked later never inherit it.
+        child_conn.close()
         monitor.register(worker_id)
-        return _WorkerHandle(worker_id, process, task_queue)
+        return _WorkerHandle(worker_id, process, conn)
 
     # ------------------------------------------------------------------ run
     def run(self, cells, write_files: bool = False):
@@ -238,8 +252,6 @@ class CampaignSupervisor:
     def _run_pool(self, pending, costs, session, write_files):
         params = self.params
         policy = params.retry_policy()
-        result_queue = self._ctx.Queue()
-        heartbeat_queue = self._ctx.Queue()
         monitor = HeartbeatMonitor(params.heartbeat_timeout)
         batch_cap = resolve_batch_cap(params.batch_cells)
         workers: dict[int, _WorkerHandle] = {}
@@ -260,6 +272,7 @@ class CampaignSupervisor:
             """
             nonlocal remaining_cost
             monitor.forget(handle.worker_id)
+            handle.conn.close()
             workers.pop(handle.worker_id, None)
             tasks = list(handle.tasks)
             if not tasks or self._shutdown:
@@ -283,8 +296,8 @@ class CampaignSupervisor:
                 session.record(CellOutcome(task.key, None, [record]))
                 return
             session.report.add(record)
-            wait = policy.delay(task.attempt, salt=task.key)
-            queue.push(task.next_attempt(), ready_time=time.monotonic() + wait)
+            delay = policy.delay(task.attempt, salt=task.key)
+            queue.push(task.next_attempt(), ready_time=time.monotonic() + delay)
             remaining_cost += costs.cost_of_task(task)
 
         def wait_timeout(now: float) -> float:
@@ -311,9 +324,7 @@ class CampaignSupervisor:
         previous_handlers = _install_signal_handlers(self._on_signal)
         try:
             for _ in range(min(params.workers, len(queue))):
-                handle = self._spawn_worker(
-                    result_queue, heartbeat_queue, write_files, monitor
-                )
+                handle = self._spawn_worker(write_files, monitor)
                 workers[handle.worker_id] = handle
 
             while queue or any(h.busy for h in workers.values()):
@@ -333,7 +344,7 @@ class CampaignSupervisor:
 
                 # Dispatch: a batch of ready cells per idle worker.
                 for handle in workers.values():
-                    if handle.busy or not queue:
+                    if handle.busy or handle.conn.closed or not queue:
                         continue
                     batch = plan_batch(
                         queue, now, costs.cost_of_task, remaining_cost,
@@ -344,49 +355,53 @@ class CampaignSupervisor:
                     remaining_cost -= sum(costs.cost_of_task(t) for t in batch)
                     handle.tasks.extend(batch)
                     monitor.beat(handle.worker_id)  # dispatch restarts the clock
-                    handle.task_queue.put(
-                        batch[0] if len(batch) == 1 else CellBatch(tuple(batch))
-                    )
+                    try:
+                        handle.conn.send(
+                            batch[0] if len(batch) == 1 else CellBatch(tuple(batch))
+                        )
+                    except OSError:  # the worker is gone: liveness requeues
+                        handle.conn.close()
 
                 # One blocking wait for anything that needs the loop:
-                # a result, a heartbeat, a worker death (its sentinel),
-                # or a deadline the supervisor must act on. O(events)
-                # wakeups — an idle supervisor sleeps, it does not poll.
-                self._wait_events(
-                    result_queue, heartbeat_queue, workers, wait_timeout(now)
+                # a message on a worker's pipe, a worker death (EOF on
+                # its pipe, its sentinel), or a deadline the supervisor
+                # must act on. O(events) wakeups — an idle supervisor
+                # sleeps, it does not poll.
+                wait(
+                    [h.conn for h in workers.values() if not h.conn.closed]
+                    + [h.process.sentinel for h in workers.values()],
+                    wait_timeout(now),
                 )
+                # Exits seen before the drain: their last messages are
+                # already in their pipes, so none is lost to the verdict.
+                exited = {
+                    h.worker_id for h in workers.values() if not h.process.is_alive()
+                }
 
-                # Heartbeats: drain and stamp with the supervisor's clock.
-                while True:
-                    try:
-                        worker_id, _seq = heartbeat_queue.get_nowait()
-                    except queue_mod.Empty:
-                        break
-                    monitor.beat(worker_id)
-
-                # Results: drain everything available, then re-dispatch
-                # the freed workers before any liveness verdicts.
+                # Drain every pipe: each message is a beat, stamped with
+                # the supervisor's clock; a CellOutcome is also a result.
+                # Then re-dispatch the freed workers before any liveness
+                # verdicts.
                 got_result = False
-                while True:
-                    try:
-                        worker_id, outcome = result_queue.get_nowait()
-                    except queue_mod.Empty:
-                        break
-                    got_result = True
-                    self.results_handled += 1
-                    handle = workers.get(worker_id)
-                    if handle is not None:
-                        handle.finish(outcome.cell_key)
-                    session.record(outcome, point="supervisor.post-record")
-                    if self.on_cell_complete is not None:
-                        self.on_cell_complete(outcome.cell_key)
+                for handle in list(workers.values()):
+                    for message in _drain(handle.conn):
+                        monitor.beat(handle.worker_id)
+                        if not isinstance(message, CellOutcome):
+                            continue  # a heartbeat
+                        got_result = True
+                        self.results_handled += 1
+                        handle.finish(message.cell_key)
+                        session.record(message, point="supervisor.post-record")
+                        if self.on_cell_complete is not None:
+                            self.on_cell_complete(message.cell_key)
                 if got_result:
                     continue
 
-                # Liveness: loud deaths first, then quiet (stale) ones.
+                # Liveness: loud deaths (the process exited or its pipe
+                # broke) first, then quiet (stale) ones.
                 for handle in list(workers.values()):
-                    if not handle.process.is_alive():
-                        handle.process.join(timeout=0.5)
+                    if handle.conn.closed or handle.worker_id in exited:
+                        _kill(handle.process)  # a live one can no longer report
                         code = handle.process.exitcode
                         handle_worker_death(
                             handle, f"worker process died (exit code {code})"
@@ -404,55 +419,19 @@ class CampaignSupervisor:
                         1 for h in workers.values() if h.busy
                     )
                 ):
-                    handle = self._spawn_worker(
-                        result_queue, heartbeat_queue, write_files, monitor
-                    )
+                    handle = self._spawn_worker(write_files, monitor)
                     workers[handle.worker_id] = handle
         finally:
             for sig, handler in previous_handlers:
                 signal.signal(sig, handler)
             for handle in workers.values():
-                if handle.process.is_alive():
-                    try:
-                        handle.task_queue.put(None)  # poison pill
-                    except (OSError, ValueError):  # pragma: no cover
-                        pass
+                try:
+                    handle.conn.send(None)  # poison pill
+                except OSError:  # its pipe is closed or broken
+                    pass
             deadline = time.monotonic() + 2.0
             for handle in workers.values():
                 handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
                 if handle.process.is_alive():
                     _kill(handle.process)
-            for q in (result_queue, heartbeat_queue):
-                q.cancel_join_thread()
-                q.close()
-
-    @staticmethod
-    def _wait_events(result_queue, heartbeat_queue, workers, timeout: float) -> None:
-        """Block until a queue has data, a worker dies, or ``timeout``.
-
-        ``multiprocessing.connection.wait`` selects over the queues'
-        reader pipes and every worker's process sentinel, so results,
-        heartbeats, and deaths all wake the loop immediately; with
-        nothing to report the supervisor just sleeps out the timeout.
-        Falls back to a bounded sleep if the pipe internals are missing
-        (non-CPython queue implementations).
-        """
-        sentries = []
-        for q in (result_queue, heartbeat_queue):
-            reader = getattr(q, "_reader", None)
-            if reader is not None:
-                sentries.append(reader)
-        for handle in workers.values():
-            try:
-                sentries.append(handle.process.sentinel)
-            except ValueError:  # pragma: no cover - process already closed
-                pass
-        if not sentries:  # pragma: no cover - defensive fallback
-            time.sleep(min(timeout, 0.05))
-            return
-        try:
-            from multiprocessing.connection import wait
-
-            wait(sentries, timeout)
-        except (ImportError, OSError):  # pragma: no cover - raced close
-            time.sleep(min(timeout, 0.05))
+                handle.conn.close()

@@ -11,10 +11,14 @@
   adopts ``$REPRO_FAULTS`` when spawned) and zeroes its cell-site
   budgets, so worker-level faults match on the cell's attempt number
   and scenarios survive respawns;
-* pulls :class:`CellTask` items off its private task queue, executes
-  them through :meth:`SuiteExecutor.run_cell`, and reports
-  ``(worker_id, CellOutcome)`` — profile included, as one pickle — on
-  the shared result queue. ``None`` is the poison pill.
+* talks to the supervisor over one private duplex pipe: it receives
+  :class:`CellTask` / :class:`CellBatch` items (``None`` is the poison
+  pill), executes them through :meth:`SuiteExecutor.run_cell`, and sends
+  back each :class:`~repro.suite.session.CellOutcome` — profile
+  included, as one pickle — interleaved with the emitter's beats. One
+  lock serializes the two sending threads, so every message is whole
+  unless the process dies mid-send, which the supervisor reads as this
+  worker's death alone.
 
 An ``exit`` fault at the ``worker.pre-cell`` site fires *before* the
 cell runs and calls ``os._exit`` with the worker-crash status — no
@@ -26,8 +30,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import queue as queue_mod
 import signal
+import threading
 import time
 from dataclasses import dataclass
 
@@ -108,9 +112,7 @@ class CellBatch:
 def worker_main(
     worker_id: int,
     params: RunParams,
-    task_queue,
-    result_queue,
-    heartbeat_queue,
+    conn,
     write_files: bool,
     model_plan=None,
 ) -> None:
@@ -131,9 +133,13 @@ def worker_main(
 
     faults.fresh_cell_budgets()
 
-    emitter = HeartbeatEmitter(
-        worker_id, heartbeat_queue, params.effective_heartbeat_interval()
-    )
+    send_lock = threading.Lock()
+
+    def send(message) -> None:
+        with send_lock:  # the heartbeat thread sends on the same pipe
+            conn.send(message)
+
+    emitter = HeartbeatEmitter(send, params.effective_heartbeat_interval())
     emitter.start()
     executor = SuiteExecutor(params, model_plan=model_plan)
     if write_files and params.pack:
@@ -161,55 +167,57 @@ def worker_main(
         executor.refstore = ReferenceChecksumStore(params.output_dir)
 
     # If the supervisor dies abruptly (kill -9, a chaos os._exit) it can
-    # never send poison pills, and a worker blocked on task_queue.get()
-    # would idle forever. Poll with a timeout and exit when reparented.
+    # never send poison pills, and a worker blocked on its pipe would
+    # idle forever. Poll with a timeout and exit when reparented.
     supervisor_pid = os.getppid()
 
-    while True:
-        try:
-            item = task_queue.get(timeout=_ORPHAN_POLL_S)
-        except queue_mod.Empty:
-            if os.getppid() != supervisor_pid:
-                break  # orphaned: our supervisor is gone
-            continue
-        if item is None:
-            break
-        tasks = item.tasks if isinstance(item, CellBatch) else (item,)
-        for task in tasks:
-            fault = faults.fault_point(
-                "worker.pre-cell",
-                where=faults.Where(
-                    variant=task.variant, trial=task.trial, machine=task.machine
-                ),
-                attempt=task.attempt,
-            )
-            if fault is not None:
-                if fault.action == "exit":
-                    os._exit(WORKER_CRASH)  # the segfault equivalent
-                emitter.suppress()
-                time.sleep(fault.hang_seconds)  # wedged: the supervisor kills us
-            try:
-                outcome = executor.run_cell(task.cell(), write_files)
-            except faults.ChaosCrash:  # a simulated crash must stay a crash
-                raise
-            except BaseException as exc:  # noqa: BLE001 - cell never dies silently
-                outcome = CellOutcome(
-                    cell_key=task.key,
-                    profile=None,
-                    records=[
-                        KernelRunRecord(
-                            kernel="<worker>",
-                            machine=task.machine,
-                            variant=task.variant,
-                            tuning=task.tuning,
-                            trial=task.trial,
-                            status=STATUS_FAILED,
-                            attempts=task.attempt,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    ],
+    try:
+        while True:
+            if not conn.poll(_ORPHAN_POLL_S):
+                if os.getppid() != supervisor_pid:
+                    break  # orphaned: our supervisor is gone
+                continue
+            item = conn.recv()
+            if item is None:
+                break
+            tasks = item.tasks if isinstance(item, CellBatch) else (item,)
+            for task in tasks:
+                fault = faults.fault_point(
+                    "worker.pre-cell",
+                    where=faults.Where(
+                        variant=task.variant, trial=task.trial, machine=task.machine
+                    ),
+                    attempt=task.attempt,
                 )
-            result_queue.put((worker_id, outcome))
+                if fault is not None:
+                    if fault.action == "exit":
+                        os._exit(WORKER_CRASH)  # the segfault equivalent
+                    emitter.suppress()
+                    time.sleep(fault.hang_seconds)  # wedged: the supervisor kills us
+                try:
+                    outcome = executor.run_cell(task.cell(), write_files)
+                except faults.ChaosCrash:  # a simulated crash must stay a crash
+                    raise
+                except BaseException as exc:  # noqa: BLE001 - cell never dies silently
+                    outcome = CellOutcome(
+                        cell_key=task.key,
+                        profile=None,
+                        records=[
+                            KernelRunRecord(
+                                kernel="<worker>",
+                                machine=task.machine,
+                                variant=task.variant,
+                                tuning=task.tuning,
+                                trial=task.trial,
+                                status=STATUS_FAILED,
+                                attempts=task.attempt,
+                                error=f"{type(exc).__name__}: {exc}",
+                            )
+                        ],
+                    )
+                send(outcome)
+    except (EOFError, OSError):
+        pass  # the supervisor closed its end of the pipe
     if executor.profile_sink is not None:
         executor.profile_sink.close()  # seal the segment's index
     emitter.stop()

@@ -211,7 +211,7 @@ def test_remerge_after_partial_segment_unlink_is_idempotent(tmp_path):
     merge must converge on byte-identical output."""
     import multiprocessing
 
-    from repro.faults import CHAOS_KILL_EXITCODE
+    from repro.cli.exitcodes import CHAOS_KILL
 
     def seed_segments(outdir):
         seg_dir = outdir / calipack.SEGMENT_DIR
@@ -240,7 +240,7 @@ def test_remerge_after_partial_segment_unlink_is_idempotent(tmp_path):
     child = ctx.Process(target=_merge_armed, args=(crashed, schedule))
     child.start()
     child.join()
-    assert child.exitcode == CHAOS_KILL_EXITCODE
+    assert child.exitcode == CHAOS_KILL
 
     archive = crashed / calipack.ARCHIVE_NAME
     assert archive.read_bytes() == golden  # merge was durable pre-crash

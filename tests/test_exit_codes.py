@@ -134,14 +134,13 @@ def _provoke_worker_crash(tmp):
         problem_size=1024, machines=("SPR-DDR",), variants=("Base_Seq",),
         kernels=("Basic_DAXPY",), output_dir=str(tmp),
     )
-    task_q, result_q, heartbeat_q = _CTX.Queue(), _CTX.Queue(), _CTX.Queue()
-    task_q.put(CellTask(
+    conn, child_conn = _CTX.Pipe()
+    conn.send(CellTask(
         machine="SPR-DDR", variant="Base_Seq", block=0, trial=0,
         fname="x.cali",
     ))
     child = _CTX.Process(
-        target=worker_main,
-        args=(0, params, task_q, result_q, heartbeat_q, False),
+        target=worker_main, args=(0, params, child_conn, False),
     )
     with FaultPlan([Fault(site="worker.pre-cell")]):  # inherited by fork
         child.start()
@@ -250,3 +249,31 @@ def test_every_documented_exit_code_has_a_provoker():
         if name.isupper() and isinstance(value, int)
     }
     assert documented == set(_PROVOKERS)
+
+
+def test_cli_module_runs_without_a_runpy_warning(tmp_path):
+    """``python -m repro.cli.main`` must not find its own module already
+    imported by the ``repro.cli`` package (runpy's RuntimeWarning)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.cli.main", "list", "kernels"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300.0,
+    )
+    assert proc.returncode == exitcodes.OK, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_exit_codes_import_without_the_cli(tmp_path):
+    """The constants module is a leaf: importing it loads no CLI."""
+    assert _script(
+        """
+        import sys
+        import repro.cli.exitcodes
+        sys.exit(3 if "repro.cli.main" in sys.modules else 0)
+        """,
+        tmp_path,
+    ) == 0

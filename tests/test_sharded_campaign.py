@@ -14,20 +14,25 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro.caliper import calipack
 from repro.chaos import invariants
+from repro.cli.exitcodes import CHAOS_KILL
 from repro.cli.main import main
-from repro.faults import CHAOS_KILL_EXITCODE, Fault, FaultPlan, install
+from repro.faults import Fault, FaultPlan, install
 from repro.suite.coordinator import ShardMap, shard_status
 from repro.suite.errors import CampaignLockedError
 from repro.suite.executor import SuiteExecutor
 from repro.suite.fsck import fsck_directory
 from repro.suite.manifest import LOCK_NAME, MANIFEST_NAME, CampaignLock
 from repro.suite.run_params import RunParams
-from repro.suite.shard import SHARD_DIR
+from repro.suite.shard import SHARD_DIR, ShardLease
 
 _CTX = multiprocessing.get_context("fork")
 
@@ -175,7 +180,7 @@ def test_coordinator_killed_mid_campaign_converges_via_fsck_resume(tmp_path):
     params = _params(outdir)
     token = tmp_path / "strike.token"
     code = _run_armed(params, _schedule("shard.post-shard-exit", token))
-    assert code == CHAOS_KILL_EXITCODE
+    assert code == CHAOS_KILL
     assert token.exists()
 
     fsck_directory(outdir)
@@ -437,3 +442,42 @@ def test_ten_thousand_cell_campaign_across_four_shards(tmp_path):
     assert invariants.check_shard_campaign(
         _expected_keys(sharded), tmp_path / "sharded"
     ) == []
+
+
+def test_shard_lease_joins_after_stop(tmp_path):
+    lease = ShardLease(tmp_path, 0, 0.05, coordinator_pid=os.getppid())
+    lease.start()
+    lease.stop()
+    lease.join(timeout=10.0)
+    assert not lease.is_alive()
+
+
+def test_fork_under_a_live_shard_lease_is_quiet(tmp_path):
+    """Forking while a lease thread runs must leave the thread machinery
+    of the child intact: no "Exception ignored" noise on stderr."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    body = textwrap.dedent(
+        """
+        import os, pathlib
+        from repro.suite.shard import ShardLease
+        lease = ShardLease(pathlib.Path("."), 0, 0.05, os.getppid())
+        lease.start()
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        lease.stop()
+        lease.join(timeout=10.0)
+        raise SystemExit(os.waitstatus_to_exitcode(status))
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", body], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120.0,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

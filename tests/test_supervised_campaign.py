@@ -7,16 +7,21 @@ attempt — never the campaign.
 """
 
 import json
+import multiprocessing
 import os
 import signal
+import struct
 
 import pytest
 
 from repro.faults import Fault, FaultPlan
 from repro.suite import MANIFEST_NAME, RunParams, SuiteExecutor
+from repro.suite import supervisor as supervisor_mod
 from repro.suite.heartbeat import HeartbeatMonitor
 from repro.suite.manifest import CampaignManifest
 from repro.suite.supervisor import CampaignSupervisor
+
+_REAL_WORKER_MAIN = supervisor_mod.worker_main
 
 
 def _params(tmp_path, **overrides):
@@ -66,7 +71,7 @@ def test_parallel_matches_serial_cell_set(tmp_path):
 
 
 def test_supervised_profiles_are_delivered_in_full(tmp_path):
-    """Every ``ok`` cell's profile crosses the result queue intact: one
+    """Every ``ok`` cell's profile crosses its worker's pipe intact: one
     in-memory profile per cell, each serializing to exactly the bytes
     its worker archived."""
     from repro.caliper.cali import serialize_cali
@@ -202,6 +207,73 @@ def test_stale_heartbeat_worker_is_killed_and_cell_requeued(tmp_path):
     assert len(stale) == 1
     assert stale[0].status == "retried"
     assert "heartbeat" in stale[0].error
+
+
+def _tear_first_dispatch(worker_id, params, conn, *args):
+    """Worker 0 takes its first dispatch, writes a torn frame — a length
+    header promising more bytes than follow — and dies the way an
+    ``exit`` fault does. Every other worker is a real one."""
+    if worker_id != 0:
+        return _REAL_WORKER_MAIN(worker_id, params, conn, *args)
+    conn.recv()
+    os.write(conn.fileno(), struct.pack("!i", 1 << 20) + b"torn")
+    os._exit(73)
+
+
+def test_worker_dying_mid_message_costs_one_attempt(tmp_path, monkeypatch):
+    """A message cut short by its writer's death breaks only that
+    worker's pipe: the cell retries and the campaign finishes clean."""
+    monkeypatch.setattr(supervisor_mod, "worker_main", _tear_first_dispatch)
+    result = SuiteExecutor(_params(tmp_path)).run(write_files=True)
+    assert result.report.cell_counts() == {"ok": 4}
+    assert result.report.clean
+    crashes = [r for r in result.report.records if r.kernel == "<worker crash>"]
+    assert len(crashes) == 1
+    assert crashes[0].status == "retried"
+    assert "exit code 73" in crashes[0].error
+
+
+def _armed_campaign(outdir, token):
+    os.setsid()  # one process group, so a hung run's workers die with it
+    plan = FaultPlan(
+        [
+            Fault(
+                site="fsio.before-tmp-write", action="exit", hit=2,
+                token=str(token),
+            )
+        ]
+    )
+    params = _params(
+        outdir, kernels=("Basic_DAXPY", "Stream_TRIAD"), problem_size=1024,
+        reps=1, retry_base_delay=0.0, retry_max_delay=0.0,
+    )
+    with plan:
+        SuiteExecutor(params).run(write_files=True)
+
+
+def test_worker_killed_mid_campaign_never_wedges_the_pool(tmp_path):
+    """A worker that dies by ``os._exit`` at its second profile write,
+    while its heartbeat thread may be mid-send, must not stall the
+    other workers' results: every bounded run finishes, all cells ok."""
+    ctx = multiprocessing.get_context("fork")
+    hung = []
+    for run in range(20):
+        outdir = tmp_path / f"run{run}"
+        child = ctx.Process(
+            target=_armed_campaign, args=(outdir, tmp_path / f"token{run}")
+        )
+        child.start()
+        child.join(20.0)
+        if child.is_alive():
+            hung.append(run)
+            os.killpg(child.pid, signal.SIGKILL)
+            child.join()
+            continue
+        assert child.exitcode == 0
+        cells = _manifest_cells(outdir)
+        assert len(cells) == 4
+        assert all(entry["status"] == "ok" for entry in cells.values())
+    assert not hung, f"runs {hung} of 20 hung past the 20 s bound"
 
 
 def test_sigint_mid_campaign_leaves_loadable_manifest_and_resumes(tmp_path):
