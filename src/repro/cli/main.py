@@ -344,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "immediately under disk pressure)")
     serve.add_argument("--scrub-interval", type=float, default=None,
                        metavar="SECONDS",
-                       help="run the background scrubber at this cadence, "
-                            "re-verifying every CRC seal under the root "
+                       help="run a repairing fsck pass over the root at "
+                            "this cadence, between scheduler ticks "
                             "(default: no scrubbing)")
 
     gc_cmd = sub.add_parser(

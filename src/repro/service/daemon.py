@@ -1,6 +1,6 @@
 """The campaign service daemon: HTTP front, scheduler loop, graceful drain.
 
-One process, two loops plus two background rails. A
+One process, two loops plus two periodic passes. A
 :class:`ThreadingHTTPServer` answers the JSON API on its own threads
 (reads are safe concurrently: records are immutable-on-disk between
 durable replaces, and analyze reads go through the ingest cache); the
@@ -11,16 +11,17 @@ leases, stop the HTTP server, exit 0. A ``SIGKILL`` instead is exactly
 the chaos I6 scenario — the next start's ``recover()`` converges every
 job with no lost or duplicated work.
 
-The rails (both optional):
+The passes (both optional) run on the scheduler thread between ticks,
+so they share its single-writer discipline:
 
 * **retention** — a :class:`~repro.service.retention.RetentionPolicy`
-  runs as periodic GC passes on the scheduler thread (so GC shares the
-  single-writer discipline), at ``retention_interval`` cadence —
-  immediately when the soft disk watermark trips;
-* **scrubbing** — a :class:`~repro.suite.scrub.Scrubber` daemon thread
-  continuously re-verifies CRC seals (records, tombstones, archives,
-  ingest caches) at ``scrub_interval`` cadence, quarantining damage
-  through the fsck machinery.
+  runs as GC passes at ``retention_interval`` cadence — immediately
+  when the soft disk watermark trips;
+* **scrubbing** — a repairing :func:`~repro.suite.fsck.fsck_directory`
+  pass over the whole root at ``scrub_interval`` cadence re-verifies
+  every seal (records, tombstones, profiles, archive entries, ingest
+  caches) and quarantines damage. Jobs the scheduler leases are live
+  to fsck and left alone.
 
 Routes::
 
@@ -38,6 +39,7 @@ import json
 import signal
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
@@ -48,6 +50,7 @@ from repro.service.api import ServiceAPI
 from repro.service.jobstore import JobStore
 from repro.service.retention import RetentionPolicy, gc
 from repro.service.scheduler import JobScheduler, SchedulerConfig
+from repro.suite.fsck import fsck_directory
 from repro.util.diskstat import STATE_OK
 
 
@@ -139,6 +142,10 @@ class ServiceDaemon:
         retention_interval: float = 60.0,
         scrub_interval: float | None = None,
     ) -> None:
+        if scrub_interval is not None and scrub_interval <= 0:
+            raise ValueError(
+                f"scrub interval must be > 0, got {scrub_interval}"
+            )
         self.store = JobStore(root)
         self.store.ensure_layout()
         self.policy = policy or AdmissionPolicy()
@@ -149,11 +156,9 @@ class ServiceDaemon:
         self.retention_interval = retention_interval
         self._next_gc = 0.0  # first tick runs GC (finishes interrupted work)
         self.gc_passes = 0
-        self.scrubber = None
-        if scrub_interval is not None:
-            from repro.suite.scrub import Scrubber
-
-            self.scrubber = Scrubber(root, scrub_interval)
+        self.scrub_interval = scrub_interval
+        self._next_scrub = 0.0  # first tick runs a pass
+        self.scrub_passes = 0
         self._stop = threading.Event()
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.api = self.api  # type: ignore[attr-defined]
@@ -186,8 +191,8 @@ class ServiceDaemon:
             payload["claims_paused"] = self.scheduler.claims_paused()
         if self.retention is not None:
             payload["gc_passes"] = self.gc_passes
-        if self.scrubber is not None:
-            payload["scrub_passes"] = self.scrubber.passes
+        if self.scrub_interval is not None:
+            payload["scrub_passes"] = self.scrub_passes
         return payload
 
     def request_stop(self, *_sig: object) -> None:
@@ -215,6 +220,26 @@ class ServiceDaemon:
         gc(self.store, self.retention)
         self.gc_passes += 1
 
+    def _maybe_scrub(self) -> None:
+        """Run a repairing fsck pass over the root when one is due.
+
+        Like GC it runs between ticks, so the scheduler stays the single
+        writer of job records. A pass that raises only warns: the
+        service keeps serving, and the next pass starts from scratch.
+        """
+        if self.scrub_interval is None:
+            return
+        now = time.monotonic()
+        if now < self._next_scrub:
+            return
+        self._next_scrub = now + self.scrub_interval
+        try:
+            fsck_directory(self.store.root)
+        except Exception as exc:
+            warnings.warn(f"scrub pass failed: {exc}", stacklevel=1)
+            return
+        self.scrub_passes += 1
+
     # ----------------------------------------------------------------- run
     def serve_forever(self, install_signals: bool = True) -> None:
         """Recover, then tick until stopped; drain on the way out."""
@@ -227,16 +252,13 @@ class ServiceDaemon:
             daemon=True,
         )
         http_thread.start()
-        if self.scrubber is not None:
-            self.scrubber.start()
         try:
             self.scheduler.recover()
             while not self._stop.wait(self.tick_interval):
                 self.scheduler.tick()
                 self._maybe_gc()
+                self._maybe_scrub()
         finally:
-            if self.scrubber is not None:
-                self.scrubber.stop()
             self.scheduler.drain()
             self.httpd.shutdown()
             self.httpd.server_close()
@@ -244,6 +266,4 @@ class ServiceDaemon:
 
     def close(self) -> None:
         """Release sockets without the serve loop (tests, failed starts)."""
-        if self.scrubber is not None:
-            self.scrubber.stop(timeout=0.1)
         self.httpd.server_close()

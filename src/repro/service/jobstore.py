@@ -45,7 +45,7 @@ from typing import Any
 
 from repro.faults import fault_point
 from repro.suite.run_params import RunParams
-from repro.util.fsio import write_durable_text
+from repro.util.fsio import back_up, write_durable_text
 
 JOBS_DIR = "jobs"
 CAMPAIGNS_DIR = "campaigns"
@@ -468,12 +468,12 @@ class JobStore:
         try:
             return parse_record_text(text)
         except JobRecordDamaged as exc:
-            backup = path.with_suffix(path.suffix + ".bak")
-            try:
-                os.replace(path, backup)
-                saved = f"; backed up as {backup.name}"
-            except OSError:
-                saved = "; backup failed, damaged file left in place"
+            backup = back_up(path)
+            saved = (
+                f"; backed up as {backup.name}"
+                if backup is not None
+                else "; backup failed, damaged file left in place"
+            )
             warnings.warn(
                 f"damaged job record {path} ({exc}){saved}", stacklevel=2
             )
@@ -566,12 +566,12 @@ class JobStore:
         try:
             return parse_tombstone_text(text)
         except TombstoneDamaged as exc:
-            backup = path.with_suffix(path.suffix + ".bak")
-            try:
-                os.replace(path, backup)
-                saved = f"; backed up as {backup.name}"
-            except OSError:
-                saved = "; backup failed, damaged file left in place"
+            backup = back_up(path)
+            saved = (
+                f"; backed up as {backup.name}"
+                if backup is not None
+                else "; backup failed, damaged file left in place"
+            )
             warnings.warn(
                 f"damaged tombstone {path} ({exc}){saved}", stacklevel=2
             )

@@ -12,8 +12,8 @@ job either fully live or provably condemned — never half-deleted:
 2. **Reclaim.** The campaign directory is removed bottom-up
    (``retention.mid-delete`` fires before every unlink: a strike here
    leaves a partially-removed directory *plus* the sealed tombstone),
-   then the record, lease, cancel and pin markers, and finally the
-   tombstone itself.
+   then — only once the directory is gone — the record, lease, cancel
+   and pin markers, and finally the tombstone itself.
 
 Recovery is :func:`complete_tombstones` — run by every GC pass and by
 fsck's job-store audit: any sealed tombstone found on disk has its
@@ -44,7 +44,7 @@ from typing import Any
 
 from repro.faults import fault_point
 from repro.service.jobstore import JobRecord, JobStore
-from repro.util.fsio import durable_replace, fsync_dir
+from repro.util.fsio import back_up, durable_replace, fsync_dir
 
 #: suffix of compaction's in-flight rebuild sibling (fsck sweeps orphans)
 COMPACT_SCRATCH_SUFFIX = ".compact-scratch"
@@ -297,10 +297,15 @@ def select_candidates(
 
 
 # ------------------------------------------------------------ collection
-def _remove_tree(store: JobStore, root: Path) -> None:
-    """Bottom-up removal with a crash boundary before every unlink."""
+def _remove_tree(store: JobStore, root: Path) -> bool:
+    """Bottom-up removal with a crash boundary before every unlink.
+
+    True when the tree is gone. False when something was written into
+    it during the walk (the HTTP thread's ingest cache, say): the next
+    pass walks it again.
+    """
     if not root.exists():
-        return
+        return True
     for dirpath, dirnames, filenames in os.walk(str(root), topdown=False):
         for fname in sorted(filenames):
             target = Path(dirpath) / fname
@@ -314,25 +319,29 @@ def _remove_tree(store: JobStore, root: Path) -> None:
     try:
         root.rmdir()
     except OSError:
-        return
+        return False
     fsync_dir(root.parent)
+    return True
 
 
-def reclaim(store: JobStore, job_id: str) -> None:
+def reclaim(store: JobStore, job_id: str) -> bool:
     """Phase two: destroy everything a sealed tombstone condemns.
 
     Idempotent and resumable — any interrupted invocation is finished
     by the next :func:`complete_tombstones` pass. The tombstone itself
     is removed *last*: its presence is the only thing that authorizes
-    re-entering this function.
+    re-entering this function. So while any of the campaign directory
+    is left, nothing else is removed and the result is False.
     """
-    _remove_tree(store, store.campaign_dir(job_id))
+    if not _remove_tree(store, store.campaign_dir(job_id)):
+        return False
     store.lease_path(job_id).unlink(missing_ok=True)
     store.cancel_path(job_id).unlink(missing_ok=True)
     store.pin_path(job_id).unlink(missing_ok=True)
     store.record_path(job_id).unlink(missing_ok=True)
     store.tombstone_path(job_id).unlink(missing_ok=True)
     fsync_dir(store.jobs_dir)
+    return True
 
 
 def collect_job(store: JobStore, job_id: str, reason: str = "") -> bool:
@@ -369,15 +378,10 @@ def complete_tombstones(store: JobStore) -> list[str]:
             continue  # damaged: backed up by read_tombstone, condemns nothing
         record = store.load(job_id)
         if record is not None and not record.terminal:
-            path = store.tombstone_path(job_id)
-            backup = path.with_suffix(path.suffix + ".bak")
-            try:
-                os.replace(path, backup)
-            except OSError:
-                pass
+            back_up(store.tombstone_path(job_id))
             continue
-        reclaim(store, job_id)
-        done.append(job_id)
+        if reclaim(store, job_id):
+            done.append(job_id)
     return done
 
 

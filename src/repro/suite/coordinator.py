@@ -74,7 +74,7 @@ from repro.suite.shard import (
 )
 from repro.suite.supervisor import _install_signal_handlers, _kill, _mp_context
 from repro.suite.worker import CellTask
-from repro.util.fsio import write_durable_text
+from repro.util.fsio import back_up, write_durable_text
 
 MAP_NAME = "shard_map.json"
 MAP_VERSION = 1
@@ -128,12 +128,12 @@ class ShardMap:
                 for k, v in dict(payload.get("assignment", {})).items()
             }
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            backup = path.with_suffix(path.suffix + ".bak")
-            try:
-                os.replace(path, backup)
-                saved = f"; corrupt file backed up as {backup.name}"
-            except OSError:
-                saved = "; backup failed, corrupt file left in place"
+            backup = back_up(path)
+            saved = (
+                f"; corrupt file backed up as {backup.name}"
+                if backup is not None
+                else "; backup failed, corrupt file left in place"
+            )
             warnings.warn(
                 f"unreadable shard map {path} ({exc}); "
                 f"repartitioning{saved}",

@@ -47,11 +47,21 @@ repartitions — quarantines shard directories the map does not know
 ``.merge-scratch`` directory: older versions merged shards through
 intermediates there, which are pure derivatives of the shard archives.
 
+Ingest-cache sidecars (``.ingest_cache/thicket-*.tic``) are
+seal-verified as well. A repairing pass removes a damaged one and a
+report-only pass names it; either way the report stays clean, because
+a cache entry is derived state that the next read rebuilds.
+
 Campaign-service roots (:mod:`repro.service`) are audited too: every
 ``jobs/<id>.json`` record is seal-verified (damage backed up as
 ``.bak``), dead scheduler leases and stale takeover tokens swept, and
 each job's ``campaigns/<id>/`` directory recursed into as an ordinary
 campaign directory — so one ``fsck <root>`` audits the whole service.
+A job whose scheduler lease has a live holder is live, like one whose
+campaign lock has: its directory is skipped, because the scheduler may
+fork its runner at any moment. That rule makes a pass safe beside a
+running daemon, which runs one between scheduler ticks
+(``serve --scrub-interval``).
 """
 
 from __future__ import annotations
@@ -76,7 +86,7 @@ from repro.suite.manifest import (
     CampaignManifest,
     _pid_alive,
 )
-from repro.util.fsio import TMP_GLOB, durable_replace, tmp_sibling
+from repro.util.fsio import TMP_GLOB, back_up, durable_replace, tmp_sibling
 
 #: where fsck moves damaged/orphaned profiles (inside the output dir)
 QUARANTINE_DIR = "quarantine"
@@ -271,6 +281,7 @@ def fsck_directory(
 
     if quarantine:
         _sweep_orphan_tmps(directory, report)
+    _check_ingest_cache(directory, quarantine, report)
 
     _fsck_shards(directory, quarantine, mark_rerun, report)
     _fsck_jobs(directory, quarantine, mark_rerun, report)
@@ -321,6 +332,34 @@ def _sweep_orphan_tmps(directory: Path, report: FsckReport) -> None:
             except OSError:  # pragma: no cover - racing cleanup
                 continue
             report.removed_tmp.append(tmp)
+
+
+def _check_ingest_cache(
+    directory: Path, quarantine: bool, report: FsckReport
+) -> None:
+    """Verify every ingest-cache entry's seal; repair drops the damaged.
+
+    Cache entries are derived state: a damaged one is already a silent
+    miss to readers and the next read rebuilds it. So, like the tmp
+    sweep, a damaged entry never makes the report unclean.
+    """
+    cache_dir = directory / ".ingest_cache"
+    if not cache_dir.is_dir():
+        return
+    from repro.thicket.ingest_cache import CACHE_SUFFIX, verify_cache_file
+
+    for path in sorted(cache_dir.glob("thicket-*" + CACHE_SUFFIX)):
+        if verify_cache_file(path):
+            continue
+        if quarantine:
+            try:
+                path.unlink()
+            except OSError:  # pragma: no cover - reclaimed by a racing prune
+                continue
+        report.notes.append(
+            f"damaged ingest-cache entry {path.name}"
+            + (" removed" if quarantine else "")
+        )
 
 
 def _fsck_shards(
@@ -424,7 +463,8 @@ def _fsck_jobs(
     tokens whose holders are dead are swept, cancel markers orphaned by
     terminal jobs removed, and every job's campaign directory gets the
     same recursive sub-pass shard directories get — except while a live
-    job runner holds its campaign lock. Campaign directories no job
+    scheduler holds the job's lease or a live job runner holds its
+    campaign lock. Campaign directories no job
     record accounts for are reported: they are exactly the "duplicated
     work" chaos invariant I6 forbids — *unless* a sealed tombstone
     condemns them, in which case the interrupted reclamation is finished
@@ -455,18 +495,14 @@ def _fsck_jobs(
             records[job_id] = parse_record_text(path.read_text())
         except (OSError, JobRecordDamaged) as exc:
             if quarantine:
-                backup = path.with_suffix(path.suffix + ".bak")
-                try:
-                    os.replace(path, backup)
-                    report.notes.append(
-                        f"damaged job record {path.name} backed up as "
-                        f"{backup.name} ({exc})"
-                    )
-                except OSError:  # pragma: no cover - racing writer
-                    report.notes.append(
-                        f"damaged job record {path.name} left in place "
-                        f"(backup failed): {exc}"
-                    )
+                backup = back_up(path)
+                report.notes.append(
+                    f"damaged job record {path.name} backed up as "
+                    f"{backup.name} ({exc})"
+                    if backup is not None
+                    else f"damaged job record {path.name} left in place "
+                    f"(backup failed): {exc}"
+                )
             else:
                 report.notes.append(f"damaged job record {path.name}: {exc}")
 
@@ -505,21 +541,20 @@ def _fsck_jobs(
                 + ("; backed up" if quarantine else "")
             )
             if quarantine:
-                path = store.tombstone_path(job_id)
-                try:
-                    os.replace(path, path.with_suffix(path.suffix + ".bak"))
-                except OSError:  # pragma: no cover - racing writer
-                    pass
+                back_up(store.tombstone_path(job_id))
             continue
         condemned.add(job_id)
         if quarantine:
             from repro.service.retention import reclaim
 
-            reclaim(store, job_id)
             records.pop(job_id, None)
             report.notes.append(
                 f"interrupted reclamation of job {job_id} completed "
                 "(sealed tombstone)"
+                if reclaim(store, job_id)
+                else f"reclamation of job {job_id} left its campaign "
+                "directory (written during the walk); the tombstone stays "
+                "for the next pass"
             )
         else:
             report.notes.append(
@@ -530,6 +565,7 @@ def _fsck_jobs(
     leases = sorted(store.jobs_dir.glob(f"*{LEASE_SUFFIX}")) + sorted(
         store.jobs_dir.glob(f"*{LEASE_SUFFIX}.takeover")
     )
+    leased: set[str] = set()
     for lease in leases:
         if lease.name.endswith(".takeover"):
             try:
@@ -551,6 +587,7 @@ def _fsck_jobs(
         except (OSError, ValueError):
             holder = None
         if _pid_alive(holder):
+            leased.add(job_id)
             continue
         if quarantine:
             lease.unlink(missing_ok=True)
@@ -591,7 +628,10 @@ def _fsck_jobs(
                     "after forensics)"
                 )
                 continue
-            if _campaign_is_live(campaign):
+            # A live lease holder (this process too, when it is the
+            # daemon) may fork the runner that takes the campaign lock
+            # at any moment: the directory is live from the claim on.
+            if campaign.name in leased or _campaign_is_live(campaign):
                 report.notes.append(
                     f"job campaign {campaign.name} is live; "
                     "sub-pass skipped"

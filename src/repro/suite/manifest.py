@@ -53,7 +53,7 @@ from typing import Any
 
 from repro.faults import fault_point
 from repro.suite.errors import CampaignLockedError
-from repro.util.fsio import fsync_dir, write_durable_text
+from repro.util.fsio import back_up, fsync_dir, write_durable_text
 
 MANIFEST_NAME = "campaign_manifest.json"
 LEDGER_SUFFIX = ".ledger"
@@ -269,12 +269,12 @@ class CampaignManifest:
         try:
             manifest = cls.read(path)
         except (OSError, ValueError) as exc:
-            backup = path.with_suffix(path.suffix + ".bak")
-            try:
-                os.replace(path, backup)
-                saved = f"; corrupt file backed up as {backup.name}"
-            except OSError:
-                saved = "; backup failed, corrupt file left in place"
+            backup = back_up(path)
+            saved = (
+                f"; corrupt file backed up as {backup.name}"
+                if backup is not None
+                else "; backup failed, corrupt file left in place"
+            )
             warnings.warn(
                 f"unreadable campaign manifest {path} ({exc}); "
                 f"starting fresh{saved}",

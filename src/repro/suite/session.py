@@ -26,8 +26,9 @@ and a merge. Everything they have in common is a
   the property that makes serial, supervised, and sharded runs of one
   campaign byte-identical — then compact the manifest's ledger into its
   snapshot;
-* ``result()`` builds the :class:`RunResult`; ``close()`` always runs
-  and releases the lock.
+* ``result()`` builds the :class:`RunResult`, and refuses to when an
+  uninterrupted run left a pending cell unrecorded; ``close()`` always
+  runs and releases the lock.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ class CampaignSession:
     report: RunReport = field(default_factory=RunReport)
     profiles: list[CaliProfile] = field(default_factory=list)
     paths: list[Path] = field(default_factory=list)
+    #: keys ``pending()`` handed to the loop; each must be recorded
+    expected: set[str] = field(default_factory=set)
 
     def open(self) -> "CampaignSession":
         params = self.params
@@ -143,14 +146,17 @@ class CampaignSession:
     # ---------------------------------------------------------- bookkeeping
     def pending(self, cells: list) -> list:
         """``cells`` minus those a ``--resume`` skips (marked skipped)."""
-        if not self.params.resume or self.manifest is None:
-            return list(cells)
         out = []
         for cell in cells:
-            if self.manifest.is_complete(cell.key):
+            if (
+                self.params.resume
+                and self.manifest is not None
+                and self.manifest.is_complete(cell.key)
+            ):
                 self.report.mark_cell(cell.key, STATUS_SKIPPED)
             else:
                 out.append(cell)
+        self.expected.update(cell.key for cell in out)
         return out
 
     def record(self, outcome: CellOutcome, point: str | None = None) -> None:
@@ -179,7 +185,16 @@ class CampaignSession:
             fault_point(point, path=self.manifest.path)
 
     def result(self, interrupted: bool = False) -> RunResult:
+        """The run's result; a completed run must have booked every
+        pending cell (a cell a loop lost would otherwise read as clean).
+        """
         self.report.interrupted = interrupted
+        missing = sorted(self.expected - self.report.cells.keys())
+        if missing and not interrupted:
+            raise RuntimeError(
+                f"campaign loop finished with {len(missing)} pending "
+                f"cell(s) never recorded: {', '.join(missing)}"
+            )
         return RunResult(
             profiles=self.profiles, cali_paths=self.paths, report=self.report
         )

@@ -509,8 +509,8 @@ def cache_budget_bytes() -> int:
 def verify_cache_file(path: str | Path) -> bool:
     """Does this ``.tic`` file verify against its whole-body seal?
 
-    The scrubber's probe: a damaged entry is already a silent miss to
-    readers; verifying it out-of-band lets the scrubber reclaim the
+    fsck's probe: a damaged entry is already a silent miss to readers;
+    verifying it out-of-band lets a repairing fsck pass reclaim the
     bytes instead of paying for the miss forever.
     """
     return _load_verified(Path(path)) is not None

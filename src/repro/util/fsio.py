@@ -66,6 +66,21 @@ def durable_replace(tmp: str | Path, target: str | Path) -> None:
     fsync_dir(Path(target).parent)
 
 
+def back_up(path: str | Path) -> Path | None:
+    """Move a damaged file aside as ``<name>.bak`` (forensics first).
+
+    Returns the backup path, or None when the move failed and the
+    damaged file is still in place.
+    """
+    path = Path(path)
+    backup = path.with_name(path.name + ".bak")
+    try:
+        os.replace(path, backup)
+    except OSError:
+        return None
+    return backup
+
+
 def write_durable_text(target: str | Path, text: str) -> Path:
     """Crash-safe whole-file write: tmp sibling + fsync + atomic replace."""
     return write_durable_bytes(target, text.encode("utf-8"))

@@ -51,7 +51,7 @@ from repro.service.retention import (
 )
 from repro.service.scheduler import JobScheduler, SchedulerConfig
 from repro.suite.fsck import fsck_directory
-from repro.suite.scrub import Scrubber, scrub_service_root
+from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
 from repro.util import diskstat
 from repro.util.diskstat import (
     STATE_HARD,
@@ -284,6 +284,35 @@ def test_reclaim_is_idempotent(tmp_path):
     assert _residue(store, "twice") == []
 
 
+def test_reclaim_keeps_its_tombstone_until_the_tree_is_gone(
+    tmp_path, monkeypatch
+):
+    """A file written into the campaign during the walk (the HTTP
+    thread warming the ingest cache) keeps the directory alive: the
+    tombstone must stay to authorize the pass that finishes it."""
+    from repro.service import retention
+
+    store = _store(tmp_path)
+    record = _terminal_job(store, "late")
+    store.write_tombstone(record, "test")
+    campaign = store.campaign_dir("late")
+    real_fault_point = retention.fault_point
+
+    def late_writer(site, path=None, **kwargs):
+        if site == "retention.mid-delete" and path.parent == campaign:
+            cache = campaign / ".ingest_cache"
+            cache.mkdir(exist_ok=True)
+            (cache / "thicket-late.tic").write_bytes(b"cache")
+        return real_fault_point(site, path=path, **kwargs)
+
+    monkeypatch.setattr(retention, "fault_point", late_writer)
+    assert complete_tombstones(store) == []
+    assert _residue(store, "late") == ["record", "tombstone", "campaign"]
+    monkeypatch.setattr(retention, "fault_point", real_fault_point)
+    assert complete_tombstones(store) == ["late"]
+    assert _residue(store, "late") == []
+
+
 # ------------------------------------------------------------------- gc
 def test_gc_dry_run_writes_nothing(tmp_path):
     store = _store(tmp_path)
@@ -489,59 +518,158 @@ def test_scheduler_pauses_claims_at_hard_watermark(tmp_path, monkeypatch):
     assert not scheduler.claims_paused()
 
 
-# -------------------------------------------------------------- scrubber
-def test_scrub_pass_detects_and_quarantines_damage(tmp_path):
-    store = _store(tmp_path)
-    _terminal_job(store, "clean")
-    _terminal_job(store, "dirty")
+# ------------------------------------------------------------- scrubbing
+def _finished_jobs(store: JobStore, *job_ids: str) -> None:
+    """Real SUCCEEDED packed jobs, their ingest caches warmed by /result."""
+    from repro.service.api import ServiceAPI
+
+    for job_id in job_ids:
+        store.submit(_spec(pack=True), tenant="t", job_id=job_id)
+    assert JobScheduler(store).run_until_idle(timeout=120.0)
+    api = ServiceAPI(store)
+    for job_id in job_ids:
+        assert store.load(job_id).state == STATE_SUCCEEDED
+        assert api.result(job_id)[0] == 200
+        assert list((store.campaign_dir(job_id) / ".ingest_cache").iterdir())
+
+
+def _damaged_root(store: JobStore):
+    """Two finished jobs, then a torn record, a corrupt archive entry
+    and a garbage ingest-cache entry: what a scrub pass must find."""
+    _finished_jobs(store, "clean", "dirty")
+    record_path = store.record_path("clean")
+    record_path.write_text(record_path.read_text()[:-10])
     archive = store.campaign_dir("dirty") / ARCHIVE_NAME
-    _build_archive(archive, {"p.cali": _sealed("p")})
     entry = load_entries(archive)[0]
     raw = bytearray(archive.read_bytes())
     raw[entry.offset + 5] ^= 0xFF
     archive.write_bytes(bytes(raw))
     cache_dir = store.campaign_dir("dirty") / ".ingest_cache"
-    cache_dir.mkdir()
     bad_cache = cache_dir / "thicket-deadbeef.tic"
     bad_cache.write_bytes(b"not a sealed cache entry")
-    record_path = store.record_path("clean")
-    record_path.write_text(record_path.read_text()[:-10])
+    return record_path, archive, entry.name, bad_cache
 
-    report = scrub_service_root(store)
-    assert not report.clean
-    assert report.records_damaged == ["clean"]
-    assert record_path.with_suffix(record_path.suffix + ".bak").exists()
-    assert any("p.cali" in ref for ref in report.entries_damaged)
-    assert str(store.campaign_dir("dirty")) in report.fsck_campaigns
+
+def _tree_state(root) -> dict[str, tuple[bytes, int]]:
+    return {
+        str(path.relative_to(root)): (
+            path.read_bytes() if path.is_file() else b"",
+            path.stat().st_mtime_ns,
+        )
+        for path in sorted(root.rglob("*"))
+    }
+
+
+def test_scrub_pass_detects_and_quarantines_damage(tmp_path):
+    store = _store(tmp_path)
+    record_path, archive, entry_name, bad_cache = _damaged_root(store)
+    warm = sorted(p for p in bad_cache.parent.iterdir() if p != bad_cache)
+
+    report = fsck_directory(tmp_path)
+    notes = "\n".join(report.notes)
+    assert "damaged job record clean.json backed up" in notes
+    assert record_path.with_name(record_path.name + ".bak").exists()
+    (dirty,) = [
+        sub for sub in report.shard_reports
+        if sub.directory == store.campaign_dir("dirty")
+    ]
+    assert not dirty.clean
+    assert entry_name in [p.name for p in dirty.quarantined]
+    assert entry_name not in [e.name for e in load_entries(archive)]
+    assert len(dirty.rerun_cells) == 1
+    manifest = CampaignManifest.read(
+        store.campaign_dir("dirty") / MANIFEST_NAME
+    )
+    assert not manifest.is_complete(dirty.rerun_cells[0])
+    # A damaged cache entry is dropped; derived state never dirties a
+    # report, and the sound entries stay.
     assert not bad_cache.exists()
-    assert report.cache_entries_dropped == [str(bad_cache)]
+    assert "damaged ingest-cache entry thicket-deadbeef.tic removed" in (
+        "\n".join(dirty.notes)
+    )
+    assert sorted(p for p in bad_cache.parent.iterdir()) == warm
 
 
 def test_scrub_report_only_mode_has_no_side_effects(tmp_path):
     store = _store(tmp_path)
-    _terminal_job(store, "dirty")
-    cache_dir = store.campaign_dir("dirty") / ".ingest_cache"
-    cache_dir.mkdir()
-    bad_cache = cache_dir / "thicket-cafe.tic"
-    bad_cache.write_bytes(b"garbage")
-    report = scrub_service_root(store, quarantine=False)
-    assert report.cache_entries_dropped == [str(bad_cache)]
-    assert bad_cache.exists()  # detected, not reclaimed
+    record_path, archive, _entry, bad_cache = _damaged_root(store)
+    before = _tree_state(tmp_path)
+
+    report = fsck_directory(tmp_path, quarantine=False, mark_rerun=False)
+    assert _tree_state(tmp_path) == before
+    assert record_path.exists()
+    assert not record_path.with_name(record_path.name + ".bak").exists()
+    assert any("damaged job record clean.json" in n for n in report.notes)
+    (dirty,) = [
+        sub for sub in report.shard_reports
+        if sub.directory == store.campaign_dir("dirty")
+    ]
+    assert not dirty.clean and dirty.quarantined == []
+    assert "damaged ingest-cache entry thicket-deadbeef.tic" in dirty.notes
 
 
-def test_scrubber_thread_runs_passes(tmp_path):
+def test_repairing_fsck_of_a_healthy_root_writes_nothing(tmp_path):
     store = _store(tmp_path)
-    _terminal_job(store, "a")
-    scrubber = Scrubber(tmp_path, interval=0.01)
-    scrubber.start()
-    deadline = time.monotonic() + 5.0
-    while scrubber.passes == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    scrubber.stop()
-    assert scrubber.passes >= 1
-    assert scrubber.last_report is not None and scrubber.last_report.clean
-    with pytest.raises(ValueError):
-        Scrubber(tmp_path, interval=0)
+    _finished_jobs(store, "a", "b")
+    before = _tree_state(tmp_path)
+    report = fsck_directory(tmp_path)
+    assert report.clean and len(report.shard_reports) == 2
+    assert _tree_state(tmp_path) == before
+
+
+def test_fsck_skips_the_campaign_of_a_leased_job(tmp_path):
+    """Between the claim and the runner's campaign lock, the scheduler's
+    lease is the only sign a directory is live: fsck must honour it,
+    also when the lease holder is the process running fsck."""
+    store = _store(tmp_path)
+    record = store.submit(_spec(), tenant="t", job_id="claimed")
+    record.transition(STATE_RUNNING)
+    store.save(record)
+    torn = store.campaign_dir("claimed") / "p.cali"
+    torn.parent.mkdir(parents=True)
+    torn.write_bytes(_sealed("p")[:-10])
+    lease = store.claim("claimed")
+    try:
+        report = fsck_directory(tmp_path)
+        assert "job campaign claimed is live; sub-pass skipped" in report.notes
+        assert torn.exists() and report.shard_reports == []
+    finally:
+        lease.release()
+    report = fsck_directory(tmp_path)  # released: an ordinary campaign
+    assert not torn.exists() and not report.clean
+
+
+def test_daemon_scrubs_once_per_interval(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from repro.service import daemon as daemon_mod
+
+    for bad in (0, -1.0):
+        with pytest.raises(ValueError):
+            daemon_mod.ServiceDaemon(tmp_path, port=0, scrub_interval=bad)
+    clock = SimpleNamespace(now=100.0)
+    monkeypatch.setattr(
+        daemon_mod, "time", SimpleNamespace(monotonic=lambda: clock.now)
+    )
+    daemon = daemon_mod.ServiceDaemon(tmp_path, port=0, scrub_interval=10.0)
+    try:
+        daemon._maybe_scrub()  # the first tick runs a pass
+        daemon._maybe_scrub()
+        assert daemon.scrub_passes == 1
+        clock.now += 10.0
+        daemon._maybe_scrub()
+        assert daemon.health()["scrub_passes"] == 2
+
+        def broken(root):
+            raise OSError("disk vanished")
+
+        monkeypatch.setattr(daemon_mod, "fsck_directory", broken)
+        clock.now += 10.0
+        with pytest.warns(UserWarning, match="scrub pass failed"):
+            daemon._maybe_scrub()  # warns; the daemon keeps serving
+        assert daemon.scrub_passes == 2
+    finally:
+        daemon.close()
 
 
 # ------------------------------------------------------------ invariants

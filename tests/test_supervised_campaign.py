@@ -59,6 +59,24 @@ def test_parallel_campaign_completes(tmp_path):
     assert not (tmp_path / "campaign_manifest.lock").exists()
 
 
+def test_a_cell_the_loop_loses_is_never_reported_clean(tmp_path, monkeypatch):
+    """A completed run must have recorded every pending cell: a task the
+    dispatch loses is an internal error naming it, not a clean report."""
+    real_plan_batch = supervisor_mod.plan_batch
+    dropped = []
+
+    def lossy_plan_batch(*args, **kwargs):
+        batch = real_plan_batch(*args, **kwargs)
+        if batch and not dropped:
+            dropped.append(batch.pop(0).key)
+        return batch
+
+    monkeypatch.setattr(supervisor_mod, "plan_batch", lossy_plan_batch)
+    with pytest.raises(RuntimeError, match="never recorded") as excinfo:
+        SuiteExecutor(_params(tmp_path)).run(write_files=True)
+    assert dropped and dropped[0] in str(excinfo.value)
+
+
 def test_parallel_matches_serial_cell_set(tmp_path):
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
