@@ -84,9 +84,9 @@ class ArchiveEntry:
     """One archived profile: where it lives and what its bytes hash to.
 
     ``attrs`` (sealed archives only) carries the entry's scalar globals
-    as indexed attributes: the predicate-pushdown path evaluates
-    metadata filters against them and skips entries — no payload read,
-    no JSON parse — when the filter provably rejects them. ``metrics``
+    as indexed attributes: ``thicket.ingest.index_pushdown`` evaluates
+    a metadata filter once over all entries' attrs and skips the entries
+    it provably rejects — no payload read, no JSON parse. ``metrics``
     lists the entry's metric column names in document order, letting a
     filtered composition reconstruct the exact column order a full
     composition would produce. None for either means the index predates
@@ -501,38 +501,6 @@ def is_nonscalar_attr(value: object) -> bool:
     """True for the :data:`NONSCALAR_ATTR` sentinel (or any structured
     attr value a future writer might store)."""
     return isinstance(value, (dict, list))
-
-
-def attrs_pass(attrs: dict | None, expr) -> bool:
-    """False only when ``expr`` *provably* rejects these indexed attrs.
-
-    This is the index-level predicate: entries without attrs, attrs the
-    expression cannot be evaluated over (nonscalar sentinels, type
-    errors), or any other doubt keep the entry — the exact filter after
-    composition is always the authority; this only skips work.
-    Referenced attrs missing from the entry evaluate as None, matching
-    the metadata table's padding for absent globals.
-    """
-    import numpy as np
-
-    if attrs is None:
-        return True
-    refs = expr.references()
-    for name in refs:
-        if is_nonscalar_attr(attrs.get(name)):
-            return True
-    columns = {
-        name: np.array([attrs.get(name)], dtype=object) for name in refs
-    }
-    try:
-        mask = np.asarray(expr.evaluate(columns))
-        if mask.ndim == 0:
-            return bool(mask)
-        if not len(mask):
-            return True
-        return bool(mask.astype(bool)[0])
-    except Exception:
-        return True
 
 
 def scan_frames(path: str | Path) -> tuple[list[ArchiveEntry], int]:

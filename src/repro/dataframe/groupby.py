@@ -4,14 +4,12 @@ Thicket's workflow groups profile rows by metadata (variant, tuning,
 machine) and aggregates metrics across runs; ``GroupBy`` provides exactly
 that: iteration over groups and reduction with named aggregators.
 
-Grouping is vectorized: each key column is codified with
-``np.unique(return_inverse=True)``, multiple keys combine mixed-radix
-(re-compacted per step so codes never overflow), and group ids are
-remapped to deterministic first-occurrence order. ``size()``/``agg()``
-then reduce over stable-sorted row segments — no sub-Frame is
-materialized per group. Key columns NumPy cannot order (mixed object
-types, NaN keys, None) fall back to the original dict loop, whose
-semantics the vectorized path reproduces exactly.
+Key columns are coded by :func:`factorize`, the one key semantics shared
+with the hash join in :mod:`repro.dataframe.plan`. Multiple keys combine
+mixed-radix (re-compacted per step so codes never overflow), and group
+ids are remapped to deterministic first-occurrence order.
+``size()``/``agg()`` then reduce over stable-sorted row segments — no
+sub-Frame is materialized per group.
 """
 
 from __future__ import annotations
@@ -36,18 +34,34 @@ AGGREGATORS: dict[str, Callable[[np.ndarray], float]] = {
 }
 
 
-def _codify(col: np.ndarray) -> np.ndarray | None:
-    """Per-row group codes for one key column, or None when NumPy cannot
-    order it with dict-equality semantics (NaN keys, mixed objects)."""
-    if col.dtype.kind == "f" and np.isnan(col).any():
-        # dict semantics: every NaN key is its own group (fresh scalars
-        # never compare equal); np.unique would merge them.
-        return None
-    try:
-        _, inverse = np.unique(col, return_inverse=True)
-    except TypeError:
-        return None
-    return inverse.astype(np.int64)
+def factorize(col: np.ndarray) -> np.ndarray:
+    """Per-row int64 key codes: the key semantics of groupby and join.
+
+    Two rows share a code exactly when a Python dict would treat their
+    values as one key (``1 == 1.0 == True``, ``None == None``), except
+    that NaN, float or object, matches nothing, not even another NaN.
+    Typed columns are coded by ``np.unique``; object columns take one
+    dict-coding pass, which is the semantics itself and also cheaper
+    than sorting Python objects. Code values carry no order.
+    """
+    # NaN is the one value unequal to itself; each gets a code of its own.
+    nan = col != col if col.dtype.kind in "fcO" else None
+    keyed = col[~nan] if nan is not None and nan.any() else col
+    if keyed.dtype == object:
+        index: dict[Any, int] = {}
+        codes = np.fromiter(
+            (index.setdefault(v, len(index)) for v in keyed),
+            dtype=np.int64, count=len(keyed),
+        )
+    else:
+        codes = np.unique(keyed, return_inverse=True)[1].astype(np.int64)
+    if keyed is col:
+        return codes
+    out = np.empty(len(col), dtype=np.int64)
+    out[~nan] = codes
+    first_nan_code = int(codes.max(initial=-1)) + 1
+    out[nan] = first_nan_code + np.arange(int(nan.sum()), dtype=np.int64)
+    return out
 
 
 class GroupBy:
@@ -62,37 +76,15 @@ class GroupBy:
         self.frame = frame
         self.keys = list(keys)
         cols = [frame[k] for k in self.keys]
-        codes = self._combined_codes(cols, frame.nrows)
-        if codes is None:
-            self._init_fallback(cols, frame.nrows)
-        else:
-            self._init_vectorized(codes, cols, frame.nrows)
-        self._key_to_group: dict[tuple, int] | None = None
-
-    @staticmethod
-    def _combined_codes(cols: list[np.ndarray], nrows: int) -> np.ndarray | None:
-        if nrows == 0:
-            return np.zeros(0, dtype=np.int64)
-        combined: np.ndarray | None = None
-        for col in cols:
-            codes = _codify(col)
-            if codes is None:
-                return None
-            if combined is None:
-                combined = codes
-            else:
-                # Mixed-radix merge, re-compacted each step so the
-                # product of cardinalities never overflows int64.
-                radix = int(codes.max()) + 1
-                combined = combined * radix + codes
-                _, combined = np.unique(combined, return_inverse=True)
-                combined = combined.astype(np.int64)
-        return combined
-
-    def _init_vectorized(
-        self, codes: np.ndarray, cols: list[np.ndarray], nrows: int
-    ) -> None:
-        ngroups = int(codes.max()) + 1 if nrows else 0
+        nrows = frame.nrows
+        codes = factorize(cols[0])
+        for col in cols[1:]:
+            # Mixed-radix merge, re-compacted each step so the product
+            # of cardinalities never overflows int64.
+            col_codes = factorize(col)
+            codes = codes * (int(col_codes.max(initial=-1)) + 1) + col_codes
+            codes = np.unique(codes, return_inverse=True)[1].astype(np.int64)
+        ngroups = int(codes.max(initial=-1)) + 1
         # Remap group ids to first-occurrence order: the row index where
         # each group first appears decides its rank.
         first_row = np.full(ngroups, nrows, dtype=np.int64)
@@ -100,51 +92,19 @@ class GroupBy:
         rank_order = np.argsort(first_row, kind="stable")
         remap = np.empty(ngroups, dtype=np.int64)
         remap[rank_order] = np.arange(ngroups, dtype=np.int64)
-        codes = remap[codes] if nrows else codes
-        self._codes = codes
+        codes = remap[codes]
         self._order = np.argsort(codes, kind="stable")
         self._counts = np.bincount(codes, minlength=ngroups)
         self._starts = np.cumsum(self._counts) - self._counts
-        rep_rows = first_row[rank_order]
-        self._rep_rows = rep_rows
         self._keys_list = [
-            tuple(col[r] for col in cols) for r in rep_rows
+            tuple(col[r] for col in cols) for r in first_row[rank_order]
         ]
-
-    def _init_fallback(self, cols: list[np.ndarray], nrows: int) -> None:
-        groups: dict[tuple, list[int]] = {}
-        for i in range(nrows):
-            key = tuple(c[i] for c in cols)
-            groups.setdefault(key, []).append(i)
-        self._keys_list = list(groups)
-        rows_per_group = [np.asarray(rows, dtype=np.int64) for rows in groups.values()]
-        self._counts = np.asarray([len(r) for r in rows_per_group], dtype=np.int64)
-        self._starts = np.cumsum(self._counts) - self._counts
-        self._order = (
-            np.concatenate(rows_per_group)
-            if rows_per_group
-            else np.zeros(0, dtype=np.int64)
-        )
-        self._rep_rows = np.asarray(
-            [r[0] for r in rows_per_group], dtype=np.int64
-        )
-        codes = np.zeros(nrows, dtype=np.int64)
-        for g, rows in enumerate(rows_per_group):
-            codes[rows] = g
-        self._codes = codes
+        self._key_to_group: dict[tuple, int] | None = None
 
     # ------------------------------------------------------------- access
     def _group_rows(self, g: int) -> np.ndarray:
         start = self._starts[g]
         return self._order[start:start + self._counts[g]]
-
-    @property
-    def _groups(self) -> dict[tuple, list[int]]:
-        """Key tuple -> row indices, first-seen order (compat view)."""
-        return {
-            key: self._group_rows(g).tolist()
-            for g, key in enumerate(self._keys_list)
-        }
 
     def __len__(self) -> int:
         return len(self._keys_list)

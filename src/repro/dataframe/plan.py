@@ -4,7 +4,10 @@ A plan is a small immutable tree of nodes (scan / filter / select /
 with-column / sort / join / group-agg). :func:`optimize` rewrites it —
 fusing adjacent filter masks, pushing predicates into scans, pruning
 columns nobody reads — and :func:`execute` runs it fully vectorized
-over NumPy columns. There are no row dicts anywhere in this module.
+over NumPy columns. There are no row dicts or row loops anywhere in
+this module: the join codes its keys through
+:func:`~repro.dataframe.groupby.factorize`, the key semantics it shares
+with groupby.
 
 The eager :class:`~repro.dataframe.Frame` methods are thin wrappers
 that build one-node plans and collect them, so lazy and eager queries
@@ -32,6 +35,7 @@ import numpy as np
 
 from repro.dataframe.expr import Col, DictColumn, Expr, Lit
 from repro.dataframe.frame import Frame, _as_column
+from repro.dataframe.groupby import factorize
 
 __all__ = [
     "Filter",
@@ -443,28 +447,26 @@ def _take(table: _Table, indices: np.ndarray) -> _Table:
 def vectorized_join(
     left: Frame, right: Frame, on: str, how: str = "inner", suffix: str = "_r"
 ) -> Frame:
-    """Hash join on a single key column, vectorized via ``np.unique``.
+    """Hash join on a single key column, vectorized.
 
-    Falls back to the legacy row-loop when key columns contain NaN
-    (Python dict semantics: NaN keys never match) or when ``np.unique``
-    cannot order mixed object types. Output is bit-identical to the
-    legacy implementation: left rows in order, right matches in row
-    order, unmatched left rows None-filled, collisions suffixed.
+    Both key columns are coded together by
+    :func:`~repro.dataframe.groupby.factorize`, so keys match exactly as
+    they group: dict equality, and a NaN key matches nothing. Output:
+    left rows in order, right matches in row order, unmatched left rows
+    None-filled (left join), name collisions suffixed.
     """
     if how not in ("inner", "left"):
         raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
     lk, rk = left[on], right[on]
-    if _join_needs_fallback(lk) or _join_needs_fallback(rk):
-        return _legacy_join(left, right, on, how, suffix)
-    try:
-        combined = np.concatenate([lk, rk])
-        uniq, inv = np.unique(combined, return_inverse=True)
-    except TypeError:
-        return _legacy_join(left, right, on, how, suffix)
+    if lk.dtype.kind != rk.dtype.kind:
+        # Numeric promotion could merge keys dict equality keeps apart
+        # (2**53 + 1 vs 2.0**53); compare mixed kinds as Python objects.
+        lk, rk = lk.astype(object), rk.astype(object)
+    codes = factorize(np.concatenate([lk, rk]))
     nl = left.nrows
-    lc, rc = inv[:nl], inv[nl:]
+    lc, rc = codes[:nl], codes[nl:]
     order = np.argsort(rc, kind="stable")
-    counts = np.bincount(rc, minlength=len(uniq))
+    counts = np.bincount(rc, minlength=int(codes.max(initial=-1)) + 1)
     offsets = np.cumsum(counts) - counts
     cnt_l = counts[lc] if nl else np.zeros(0, dtype=np.intp)
     reps = cnt_l if how == "inner" else np.maximum(cnt_l, 1)
@@ -493,52 +495,6 @@ def vectorized_join(
             continue
         name = n if n not in data else n + suffix
         col = right[n][ri] if total else right[n][:0]
-        if missing.any():
-            col = col.astype(object)
-            col[missing] = None
-        data[name] = col
-    return Frame(data) if data else Frame()
-
-
-def _join_needs_fallback(col: np.ndarray) -> bool:
-    if col.dtype.kind == "f":
-        return bool(np.isnan(col).any())
-    if col.dtype == object and len(col):
-        is_nan = np.frompyfunc(lambda v: isinstance(v, float) and v != v, 1, 1)
-        return bool(is_nan(col).any())
-    return False
-
-
-def _legacy_join(
-    left: Frame, right: Frame, on: str, how: str, suffix: str
-) -> Frame:
-    """The original row-loop join; kept for dict-equality key semantics."""
-    right_index: dict[Any, list[int]] = {}
-    right_key = right[on]
-    for j in range(right.nrows):
-        right_index.setdefault(right_key[j], []).append(j)
-    left_rows: list[int] = []
-    right_rows: list[int] = []
-    for i in range(left.nrows):
-        matches = right_index.get(left[on][i], [])
-        if matches:
-            for j in matches:
-                left_rows.append(i)
-                right_rows.append(j)
-        elif how == "left":
-            left_rows.append(i)
-            right_rows.append(-1)
-    data: dict[str, object] = {}
-    li = np.asarray(left_rows, dtype=int)
-    for n in left.columns:
-        data[n] = left[n][li] if len(li) else left[n][:0]
-    missing = np.asarray(right_rows) < 0
-    ri = np.asarray([max(j, 0) for j in right_rows], dtype=int)
-    for n in right.columns:
-        if n == on:
-            continue
-        name = n if n not in data else n + suffix
-        col = right[n][ri] if len(ri) else right[n][:0]
         if missing.any():
             col = col.astype(object)
             col[missing] = None

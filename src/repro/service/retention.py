@@ -49,6 +49,12 @@ from repro.util.fsio import back_up, durable_replace, fsync_dir
 #: suffix of compaction's in-flight rebuild sibling (fsck sweeps orphans)
 COMPACT_SCRATCH_SUFFIX = ".compact-scratch"
 
+#: why a reclamation stopped short (gc's skip reason, fsck's note)
+LEFT_CAMPAIGN_DIR = (
+    "left its campaign directory (written during the walk); the "
+    "tombstone stays for the next pass"
+)
+
 
 # ---------------------------------------------------------------- policy
 @dataclass(frozen=True)
@@ -345,7 +351,11 @@ def reclaim(store: JobStore, job_id: str) -> bool:
 
 
 def collect_job(store: JobStore, job_id: str, reason: str = "") -> bool:
-    """Two-phase collection of one job; False when ineligible.
+    """Two-phase collection of one job; True once it is gone.
+
+    False when the job is ineligible (nothing is written) or when the
+    reclamation left the campaign directory (the sealed tombstone stays,
+    and the next :func:`complete_tombstones` pass finishes the job).
 
     Eligibility is re-checked immediately before the tombstone lands
     (terminal states are absorbing, so a job observed terminal here can
@@ -360,8 +370,7 @@ def collect_job(store: JobStore, job_id: str, reason: str = "") -> bool:
         "retention.pre-tombstone", path=store.tombstone_path(job_id)
     )
     store.write_tombstone(record, reason or "retention policy")
-    reclaim(store, job_id)
-    return True
+    return reclaim(store, job_id)
 
 
 def complete_tombstones(store: JobStore) -> list[str]:
@@ -439,6 +448,8 @@ def gc(
                     "bytes": size,
                 }
             )
+        elif store.tombstone_path(record.job_id).exists():
+            report.skipped.append((record.job_id, LEFT_CAMPAIGN_DIR))
         else:
             report.skipped.append(
                 (record.job_id, "ineligible at final re-check")

@@ -545,16 +545,14 @@ def _fsck_jobs(
             continue
         condemned.add(job_id)
         if quarantine:
-            from repro.service.retention import reclaim
+            from repro.service.retention import LEFT_CAMPAIGN_DIR, reclaim
 
             records.pop(job_id, None)
             report.notes.append(
                 f"interrupted reclamation of job {job_id} completed "
                 "(sealed tombstone)"
                 if reclaim(store, job_id)
-                else f"reclamation of job {job_id} left its campaign "
-                "directory (written during the walk); the tombstone stays "
-                "for the next pass"
+                else f"reclamation of job {job_id} {LEFT_CAMPAIGN_DIR}"
             )
         else:
             report.notes.append(

@@ -344,6 +344,13 @@ def index_pushdown(
     metadata and metric column orders, reconstructed from the per-entry
     index schema so skipped entries' columns can be padded back in.
 
+    The predicate is evaluated once, over one n-length object column
+    per referenced attr (an attr missing from an entry reads as None,
+    matching the metadata table's padding for absent globals). Doubt
+    keeps entries: an entry whose referenced attr is nonscalar is kept,
+    and an evaluation that raises keeps every entry. The exact filter
+    after composition is the authority; this only skips parses.
+
     Returns None — compose everything, filter exactly — whenever the
     skip cannot be proven safe: any non-archive source, any entry
     without indexed schema, a predicate referencing the synthesized
@@ -356,18 +363,32 @@ def index_pushdown(
         return None
     if "profile" in expr.references():
         return None
-    kept: list[Any] = []
-    kept_indices: list[int] = []
+    n = len(units)
+    keep = np.zeros(n, dtype=bool)
+    columns: dict[str, np.ndarray] = {}
+    for name in expr.references():
+        values = [u.attrs.get(name) for u in units]
+        nonscalar = np.fromiter(
+            map(calipack.is_nonscalar_attr, values), dtype=bool, count=n
+        )
+        keep |= nonscalar
+        column = columns[name] = np.empty(n, dtype=object)
+        column[:] = [None if skip else v for v, skip in zip(values, nonscalar)]
+    try:
+        keep |= np.broadcast_to(
+            np.asarray(expr.evaluate(columns)).astype(bool), (n,)
+        )
+    except Exception:
+        keep[:] = True
+    kept_indices = np.flatnonzero(keep).tolist()
+    if not kept_indices:
+        return None
     meta_cols: dict[str, None] = {"profile": None}
     metric_cols: dict[str, None] = {}
-    for index, unit in enumerate(units):
+    for unit in units:
         meta_cols.update(dict.fromkeys(unit.attrs))
         metric_cols.update(dict.fromkeys(unit.metrics))
-        if calipack.attrs_pass(unit.attrs, expr):
-            kept.append(unit)
-            kept_indices.append(index)
-    if not kept:
-        return None
+    kept = [units[i] for i in kept_indices]
     return kept, kept_indices, list(meta_cols), list(metric_cols)
 
 

@@ -337,6 +337,41 @@ def test_gc_completes_interrupted_work_first(tmp_path):
     assert _residue(store, "stale") == []
 
 
+def test_gc_skips_a_job_whose_campaign_survives_the_walk(
+    tmp_path, monkeypatch
+):
+    """A job whose reclamation left its campaign directory is not
+    collected: its record and tombstone are still on disk. The pass
+    that finishes it reports it as completed."""
+    from repro.service import retention
+
+    store = _store(tmp_path)
+    _terminal_job(store, "late")
+    campaign = store.campaign_dir("late")
+    real_fault_point = retention.fault_point
+
+    def late_writer(site, path=None, **kwargs):
+        if site == "retention.mid-delete" and path.parent == campaign:
+            cache = campaign / ".ingest_cache"
+            cache.mkdir(exist_ok=True)
+            (cache / "thicket-late.tic").write_bytes(b"cache")
+        return real_fault_point(site, path=path, **kwargs)
+
+    monkeypatch.setattr(retention, "fault_point", late_writer)
+    report = gc(store, RetentionPolicy(max_terminal_jobs=0))
+    assert report.collected == []
+    assert report.skipped == [
+        ("late", "left its campaign directory (written during the walk); "
+         "the tombstone stays for the next pass"),
+    ]
+    assert _residue(store, "late") == ["record", "tombstone", "campaign"]
+    monkeypatch.setattr(retention, "fault_point", real_fault_point)
+    report = gc(store, RetentionPolicy(max_terminal_jobs=0))
+    assert report.completed == ["late"]
+    assert report.collected == [] and report.skipped == []
+    assert _residue(store, "late") == []
+
+
 # ------------------------------------------------------------ compaction
 def _sealed(tag: str, size: int = 40) -> bytes:
     """A minimal sealed .cali byte string (compaction verifies seals)."""
