@@ -289,8 +289,9 @@ def check_job_records_parse(root: str | Path) -> list[str]:
 
     Run *before* recovery: a crash anywhere — including mid-save — must
     never leave a record that is present but unreadable, because records
-    are only ever created whole (O_EXCL + full write + fsync) and
-    rewritten via the durable tmp+replace protocol. ``.bak`` files do
+    are only ever created whole (a synced tmp sibling linked into
+    place, :func:`~repro.util.fsio.create_exclusive`) and rewritten via
+    the durable tmp+replace protocol. ``.bak`` files do
     not count: they are fsck's forensic quarantine, not live records.
     """
     from repro.service.jobstore import (

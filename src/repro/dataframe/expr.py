@@ -26,6 +26,7 @@ expression tree.
 from __future__ import annotations
 
 import ast
+import operator
 from collections.abc import Iterable, Mapping
 from typing import Any
 
@@ -84,6 +85,27 @@ def _object_compare(a: Any, b: Any, op: str) -> Any:
     """Elementwise ==/!= that never errors on mixed object columns."""
     result = np.equal(a, b) if op == "eq" else np.not_equal(a, b)
     return result
+
+
+_ORDER = {
+    "lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+}
+
+
+def _ordered(a: Any, b: Any, op: str) -> Any:
+    """Elementwise ordering; in object operands a missing value matches nothing.
+
+    An object column holds None where a profile lacks the attribute, and
+    ``None < 3`` raises; here it is simply False. Typed operands keep
+    NumPy's vectorized compare.
+    """
+    fn = _ORDER[op]
+    if not any(isinstance(v, np.ndarray) and v.dtype == object for v in (a, b)):
+        return fn(a, b)
+    row = np.frompyfunc(
+        lambda x, y: x is not None and y is not None and bool(fn(x, y)), 2, 1
+    )
+    return row(a, b).astype(bool)
 
 
 class Expr:
@@ -267,13 +289,7 @@ class Cmp(Expr):
             return _object_compare(a, b, "eq")
         if self.op == "ne":
             return _object_compare(a, b, "ne")
-        if self.op == "lt":
-            return a < b
-        if self.op == "le":
-            return a <= b
-        if self.op == "gt":
-            return a > b
-        return a >= b
+        return _ordered(a, b, self.op)
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self._OPS[self.op]} {self.right!r})"

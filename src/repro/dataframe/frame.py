@@ -13,6 +13,12 @@ from typing import Any
 import numpy as np
 
 
+#: elementwise "is a float NaN" over an object column (``Frame.equals``)
+_is_nan = np.frompyfunc(
+    lambda v: isinstance(v, (float, np.floating)) and v != v, 1, 1
+)
+
+
 def _as_column(values: object, length_hint: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a 1-D column array (object dtype for strings)."""
     if isinstance(values, np.ndarray):
@@ -110,6 +116,9 @@ class Frame:
     def equals(self, other: "Frame", equal_nan: bool = True) -> bool:
         """Like ``==`` but treating aligned NaNs as equal (the default).
 
+        The NaN rule holds in float and object columns alike; a NaN
+        still differs from None and from any other value.
+
         ``__eq__`` uses strict ``np.array_equal``, under which a column
         containing NaN never equals itself — useless for comparing two
         independently composed ensembles. This is the comparison the
@@ -125,9 +134,14 @@ class Frame:
                 return False
             if np.array_equal(a, b):
                 continue
-            if not equal_nan or a.dtype.kind != "f":
+            if not equal_nan or a.dtype.kind not in "fO":
                 return False
-            if not np.array_equal(a, b, equal_nan=True):
+            if a.dtype.kind == "f":
+                same = np.array_equal(a, b, equal_nan=True)
+            else:
+                both_nan = _is_nan(a).astype(bool) & _is_nan(b).astype(bool)
+                same = np.array_equal(a[~both_nan], b[~both_nan])
+            if not same:
                 return False
         return True
 

@@ -224,7 +224,7 @@ SITES: dict[str, Site] = {
             "service.post-claim",
             phase="service",
             modes=("service",),
-            description="scheduler: job lease claimed (O_EXCL token on "
+            description="scheduler: job lease claimed (lease token on "
             "disk), the RUNNING transition not yet saved",
         ),
         Site(

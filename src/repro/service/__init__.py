@@ -11,7 +11,7 @@ restart it, and every job converges with no lost or duplicated work
 * :mod:`repro.service.jobstore` — one fsio-atomic, CRC-sealed JSON
   record per job; the SUBMITTED→QUEUED→RUNNING→{SUCCEEDED, FAILED,
   CANCELLED, ORPHANED} state machine.
-* :mod:`repro.service.scheduler` — O_EXCL lease claims (the
+* :mod:`repro.service.scheduler` — exclusive lease claims (the
   CampaignLock takeover pattern), per-job campaign processes, progress
   heartbeats from the campaign manifests, fsck+resume healing under an
   attempt budget, graceful drain.

@@ -20,6 +20,7 @@ CLI analyze of the same campaign.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 from urllib import error as urlerror
@@ -65,9 +66,16 @@ def campaign_sources(campaign_dir: Path) -> list[str]:
 class ServiceAPI:
     """Every service endpoint as a method returning ``(status, payload)``."""
 
-    def __init__(self, store: JobStore, policy: AdmissionPolicy | None = None):
+    def __init__(
+        self,
+        store: JobStore,
+        policy: AdmissionPolicy | None = None,
+        wake: Callable[[], None] | None = None,
+    ):
         self.store = store
         self.policy = policy or AdmissionPolicy()
+        #: called after an accepted submit or cancel (the daemon's wake)
+        self.wake = wake or (lambda: None)
 
     # ------------------------------------------------------------ endpoints
     def submit(
@@ -83,6 +91,7 @@ class ServiceAPI:
             record = self.store.submit(spec, tenant=tenant, job_id=job_id)
         except JobError as exc:
             return 400, {"error": str(exc)}
+        self.wake()
         return 200, {"job": record.to_payload()}
 
     def status(self, job_id: str) -> tuple[int, dict[str, Any]]:
@@ -108,6 +117,7 @@ class ServiceAPI:
             record = self.store.request_cancel(job_id)
         except JobError as exc:
             return 404, {"error": str(exc)}
+        self.wake()
         return 200, {"job": record.to_payload(), "cancel_requested": True}
 
     def result(

@@ -4,15 +4,26 @@ One process, two loops plus two periodic passes. A
 :class:`ThreadingHTTPServer` answers the JSON API on its own threads
 (reads are safe concurrently: records are immutable-on-disk between
 durable replaces, and analyze reads go through the ingest cache); the
-scheduler ticks on the main thread and stays the single writer of job
-records. ``SIGTERM``/``SIGINT`` trigger the graceful path: stop
-claiming, drain every running job back to QUEUED-with-resume, release
-leases, stop the HTTP server, exit 0. A ``SIGKILL`` instead is exactly
-the chaos I6 scenario — the next start's ``recover()`` converges every
-job with no lost or duplicated work.
+serve loop ticks the scheduler, which stays the single writer of job
+records.
 
-The passes (both optional) run on the scheduler thread between ticks,
-so they share its single-writer discipline:
+The serve loop is event-driven. Between ticks it blocks in one
+:func:`multiprocessing.connection.wait` over a self-pipe and the
+running job runners' sentinels, with ``tick_interval`` as the timeout.
+An accepted submit or cancel (through the API's ``wake`` hook) and
+:meth:`ServiceDaemon.request_stop` write to the pipe, and a runner's
+exit makes its sentinel ready, so the loop claims, cancels, reaps or
+stops at once. ``tick_interval`` is only the idle cadence of progress
+heartbeats and the passes below.
+
+``SIGTERM``/``SIGINT`` trigger the graceful path: stop claiming, drain
+every running job back to QUEUED-with-resume, release leases, stop the
+HTTP server, exit 0. A ``SIGKILL`` instead is exactly the chaos I6
+scenario — the next start's ``recover()`` converges every job with no
+lost or duplicated work.
+
+The passes (both optional) run on the serve loop between ticks, so
+they share its single-writer discipline:
 
 * **retention** — a :class:`~repro.service.retention.RetentionPolicy`
   runs as GC passes at ``retention_interval`` cadence — immediately
@@ -37,10 +48,12 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 import time
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any
 from urllib.parse import parse_qs, urlparse
@@ -149,7 +162,11 @@ class ServiceDaemon:
         self.store = JobStore(root)
         self.store.ensure_layout()
         self.policy = policy or AdmissionPolicy()
-        self.api = ServiceAPI(self.store, self.policy)
+        # The self-pipe: a byte written here ends the serve loop's wait.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self.api = ServiceAPI(self.store, self.policy, wake=self.wake)
         self.scheduler = JobScheduler(self.store, scheduler_config)
         self.tick_interval = tick_interval
         self.retention = retention
@@ -195,8 +212,16 @@ class ServiceDaemon:
             payload["scrub_passes"] = self.scrub_passes
         return payload
 
+    def wake(self) -> None:
+        """End the serve loop's wait so it ticks now (any thread, signals)."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # full: a wake is already pending; closed: stopped
+            pass
+
     def request_stop(self, *_sig: object) -> None:
         self._stop.set()
+        self.wake()
 
     # ------------------------------------------------------------ retention
     def _maybe_gc(self) -> None:
@@ -248,22 +273,38 @@ class ServiceDaemon:
             signal.signal(signal.SIGINT, self.request_stop)
         http_thread = threading.Thread(
             target=self.httpd.serve_forever,
+            kwargs={"poll_interval": 0.1},  # how soon shutdown() returns
             name="service-http",
             daemon=True,
         )
         http_thread.start()
         try:
             self.scheduler.recover()
-            while not self._stop.wait(self.tick_interval):
+            while not self._stop.is_set():
                 self.scheduler.tick()
                 self._maybe_gc()
                 self._maybe_scrub()
+                self._sleep()
         finally:
             self.scheduler.drain()
             self.httpd.shutdown()
-            self.httpd.server_close()
+            self.close()
             http_thread.join(5.0)
+
+    def _sleep(self) -> None:
+        """Wait for a wake, a job runner's exit or ``tick_interval``."""
+        ready = wait(
+            [self._wake_r, *self.scheduler.sentinels()], self.tick_interval
+        )
+        if self._wake_r in ready:
+            try:
+                while self._wake_r.recv(4096):
+                    pass
+            except OSError:  # drained
+                pass
 
     def close(self) -> None:
         """Release sockets without the serve loop (tests, failed starts)."""
         self.httpd.server_close()
+        self._wake_r.close()
+        self._wake_w.close()

@@ -35,7 +35,6 @@ between the API and the scheduler.
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 import zlib
@@ -45,7 +44,7 @@ from typing import Any
 
 from repro.faults import fault_point
 from repro.suite.run_params import RunParams
-from repro.util.fsio import back_up, write_durable_text
+from repro.util.fsio import back_up, create_exclusive, write_durable_text
 
 JOBS_DIR = "jobs"
 CAMPAIGNS_DIR = "campaigns"
@@ -390,9 +389,10 @@ class JobStore:
         A caller-chosen ``job_id`` makes submission idempotent: retrying
         a submit whose acknowledgment was lost returns the existing
         record instead of double-queuing the campaign. The record file
-        is claimed with ``O_CREAT | O_EXCL`` so two racing submitters of
-        one id cannot interleave, then the QUEUED transition lands via
-        the full durable-write protocol.
+        is created whole and exclusively (:func:`create_exclusive`), so
+        two racing submitters of one id cannot interleave and a
+        concurrent reader never sees a half-written record; the QUEUED
+        transition then lands via the full durable-write protocol.
         """
         params_from_spec(spec, self.root / "probe")  # validation only
         self.ensure_layout()
@@ -428,16 +428,12 @@ class JobStore:
             created_at=_wallclock(),
             updated_at=_wallclock(),
         )
-        path = self.record_path(job_id)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            create_exclusive(
+                self.record_path(job_id), seal_record(record).encode("utf-8")
+            )
         except FileExistsError:
             return None
-        try:
-            os.write(fd, seal_record(record).encode("utf-8"))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
         return record
 
     def _next_seq(self) -> int:
@@ -519,6 +515,13 @@ class JobStore:
             self.cancel_path(job_id).touch()
         return record
 
+    def list_cancel_ids(self) -> list[str]:
+        """Ids of the jobs with a pending cancel marker."""
+        return sorted(
+            p.name[: -len(CANCEL_SUFFIX)]
+            for p in self.jobs_dir.glob(f"*{CANCEL_SUFFIX}")
+        )
+
     def cancel_requested(self, job_id: str) -> bool:
         return self.cancel_path(job_id).exists()
 
@@ -588,7 +591,7 @@ class JobStore:
 
     # ---------------------------------------------------------------- lease
     def claim(self, job_id: str):
-        """Claim the job's scheduler lease (O_EXCL + stale takeover).
+        """Claim the job's scheduler lease (exclusive create + stale takeover).
 
         Returns a held :class:`~repro.suite.manifest.CampaignLock`;
         raises :class:`~repro.suite.errors.CampaignLockedError` when a

@@ -472,7 +472,6 @@ def _fsck_jobs(
     condemns nothing and is backed up as forensics.
     """
     from repro.service.jobstore import (
-        CANCEL_SUFFIX,
         LEASE_SUFFIX,
         RECORD_SUFFIX,
         JobRecordDamaged,
@@ -600,12 +599,11 @@ def _fsck_jobs(
                 "recovery will heal it"
             )
 
-    for marker in sorted(store.jobs_dir.glob(f"*{CANCEL_SUFFIX}")):
-        job_id = marker.name[: -len(CANCEL_SUFFIX)]
+    for job_id in store.list_cancel_ids():
         record = records.get(job_id)
         if record is not None and record.terminal:
             if quarantine:
-                marker.unlink(missing_ok=True)
+                store.clear_cancel(job_id)
             report.notes.append(
                 f"cancel marker for terminal job {job_id}"
                 + (" removed" if quarantine else "")

@@ -53,7 +53,12 @@ from typing import Any
 
 from repro.faults import fault_point
 from repro.suite.errors import CampaignLockedError
-from repro.util.fsio import back_up, fsync_dir, write_durable_text
+from repro.util.fsio import (
+    back_up,
+    create_exclusive,
+    fsync_dir,
+    write_durable_text,
+)
 
 MANIFEST_NAME = "campaign_manifest.json"
 LEDGER_SUFFIX = ".ledger"
@@ -101,7 +106,7 @@ class CampaignLock:
 
         The campaign service's per-job lease tokens are ordinary
         instances of this lock living under ``jobs/`` instead of inside
-        a campaign directory; the O_EXCL claim and the exclusive
+        a campaign directory; the exclusive create and the exclusive
         stale-lease takeover work identically.
         """
         path = Path(path)
@@ -115,7 +120,9 @@ class CampaignLock:
             indent=1,
         )
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            # Created whole: a contender never reads a lease so empty it
+            # looks stale while its owner believes it holds the lock.
+            create_exclusive(path, lease.encode())
         except FileExistsError:
             holder: dict[str, Any] = {}
             try:
@@ -129,15 +136,16 @@ class CampaignLock:
                 ) from None
             # Stale lease: the holder is gone (or is us). Two contenders
             # can reach this branch for the same expired lease, so the
-            # takeover itself must be exclusive: claim a takeover token
-            # with O_EXCL first. Exactly one contender wins; the loser
+            # takeover itself must be exclusive: create a takeover token
+            # exclusively first. Exactly one contender wins; the loser
             # fails with the same clean CampaignLockedError a live lease
             # produces. A token orphaned by a crash mid-takeover is
             # cleared once its claimant is dead, so it cannot wedge the
             # directory.
             token = path.with_name(path.name + ".takeover")
+            claim = json.dumps({"pid": os.getpid()}).encode()
             try:
-                tfd = os.open(token, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                create_exclusive(token, claim)
             except FileExistsError:
                 claimant: Any = None
                 try:
@@ -150,18 +158,9 @@ class CampaignLock:
                     str(path), claimant, holder.get("acquired_at")
                 ) from None
             try:
-                os.write(tfd, json.dumps({"pid": os.getpid()}).encode())
-            finally:
-                os.close(tfd)
-            try:
                 write_durable_text(path, lease)
             finally:
                 token.unlink(missing_ok=True)
-            return cls(path=path, acquired=True)
-        try:
-            os.write(fd, lease.encode())
-        finally:
-            os.close(fd)
         return cls(path=path, acquired=True)
 
     def release(self) -> None:

@@ -25,9 +25,12 @@ This module replaces it:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from collections import Counter
 from collections.abc import Sequence
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
+from pathlib import Path
 from typing import Any, BinaryIO
 
 import numpy as np
@@ -335,7 +338,7 @@ def concat_composed(a: Frame, b: Frame) -> Frame:
 
 def index_pushdown(
     units: list[Any], expr
-) -> tuple[list[Any], list[int], list[str], list[str]] | None:
+) -> tuple[list[Any], list[int], dict[str, Any], list[str]] | None:
     """Plan an index-level predicate pushdown over archive entries.
 
     Returns ``(kept_units, kept_indices, meta_columns, metric_columns)``
@@ -343,6 +346,10 @@ def index_pushdown(
     fallback profile ids stay stable) plus the full composition's
     metadata and metric column orders, reconstructed from the per-entry
     index schema so skipped entries' columns can be padded back in.
+    ``meta_columns`` maps each attr to the dtype the full composition
+    gives its column, when a subset could type it narrower: an attr a
+    skipped entry lacks, or types differently, widens it. None means no
+    subset can differ (one type in every entry; ``profile``).
 
     The predicate is evaluated once, over one n-length object column
     per referenced attr (an attr missing from an entry reads as None,
@@ -383,13 +390,23 @@ def index_pushdown(
     kept_indices = np.flatnonzero(keep).tolist()
     if not kept_indices:
         return None
-    meta_cols: dict[str, None] = {"profile": None}
-    metric_cols: dict[str, None] = {}
-    for unit in units:
-        meta_cols.update(dict.fromkeys(unit.attrs))
-        metric_cols.update(dict.fromkeys(unit.metrics))
+    attrs = [u.attrs for u in units]
+    meta_cols: dict[str, Any] = {"profile": None}
+    for name, count in Counter(chain.from_iterable(attrs)).items():
+        if count < n:  # an entry without the attr puts None in the column
+            meta_cols[name] = np.dtype(object)
+            continue
+        kinds = set(map(type, map(itemgetter(name), attrs)))
+        if len(kinds) == 1:
+            meta_cols[name] = None  # one type: every subset types alike
+        elif kinds & {dict, list}:
+            meta_cols[name] = np.dtype(object)
+        else:
+            values = [a[name] for a in attrs]
+            meta_cols[name] = Frame({name: values})[name].dtype
+    metric_cols = dict.fromkeys(chain.from_iterable(u.metrics for u in units))
     kept = [units[i] for i in kept_indices]
-    return kept, kept_indices, list(meta_cols), list(metric_cols)
+    return kept, kept_indices, meta_cols, list(metric_cols)
 
 
 # ----------------------------------------------------------- chunk loading

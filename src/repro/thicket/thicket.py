@@ -438,7 +438,7 @@ def _membership_mask(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _pad_schema(
-    frame: Frame, metadata: Frame, meta_cols: list, metric_cols: list
+    frame: Frame, metadata: Frame, meta_cols: dict, metric_cols: list
 ) -> tuple[Frame, Frame]:
     """Pad a pushdown-reduced composition back to the full schema.
 
@@ -447,12 +447,17 @@ def _pad_schema(
     (``None``-backfilled metadata, NaN-coerced metrics) and the exact
     filter only removes *rows*. Reinstate them — in the full compose's
     first-seen order, reconstructed from the per-entry index schema —
-    so filtered-with-pushdown equals filtered-after-composing.
+    and widen a metadata column to the dtype the skipped entries would
+    have given it (``trial`` is object when some profile lacks it), so
+    filtered-with-pushdown equals filtered-after-composing.
     """
     md_cols: dict[str, object] = {}
-    for name in meta_cols:
+    for name, dtype in meta_cols.items():
         if name in metadata:
-            md_cols[name] = metadata[name]
+            column = metadata[name]
+            if dtype is not None and column.dtype != dtype:
+                column = column.astype(dtype)
+            md_cols[name] = column
         else:
             md_cols[name] = np.array([None] * metadata.nrows, dtype=object)
     for name in metadata.columns:

@@ -21,6 +21,11 @@ Every step of the protocol is also a registered crash point
 ``fsio.after-tmp-fsync`` (torn-write capable), ``fsio.before-replace``,
 ``fsio.after-replace``, and ``fsio.before-dir-fsync``. The hooks are
 no-ops unless a fault plan is installed.
+
+:func:`create_exclusive` is the create-once twin (job records, lease
+files): the same synced tmp sibling, ``os.link``-ed into place instead
+of replaced, so an existing target is refused and a reader never sees
+a half-written file. It carries no crash points of its own.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ def tmp_sibling(target: str | Path) -> Path:
 def fsync_dir(path: str | Path) -> None:
     """fsync a directory so a completed rename inside it is durable."""
     fault_point("fsio.before-dir-fsync", path=path)
+    _fsync_dir(path)
+
+
+def _fsync_dir(path: str | Path) -> None:
     try:
         fd = os.open(str(path), os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir open
@@ -81,6 +90,36 @@ def back_up(path: str | Path) -> Path | None:
     return backup
 
 
+def create_exclusive(target: str | Path, data: bytes) -> Path:
+    """Create ``target`` holding ``data``; ``FileExistsError`` if it exists.
+
+    The whole payload is written and fsynced to a tmp sibling first and
+    then ``os.link``-ed into place, so a concurrent reader sees either no
+    file or the complete one, never the empty file an ``O_EXCL`` open
+    leaves until its write lands. ``os.link`` refuses an existing
+    target, which keeps the create exclusive.
+    """
+    out = Path(target)
+    tmp = tmp_sibling(out)
+    _write_synced(tmp, data)
+    try:
+        os.link(tmp, out)
+    finally:
+        os.unlink(tmp)
+    _fsync_dir(out.parent)
+    return out
+
+
+def _write_synced(path: Path, data: bytes) -> None:
+    with open(path, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        try:
+            os.fsync(handle.fileno())
+        except OSError:  # pragma: no cover - fs without fsync
+            pass
+
+
 def write_durable_text(target: str | Path, text: str) -> Path:
     """Crash-safe whole-file write: tmp sibling + fsync + atomic replace."""
     return write_durable_bytes(target, text.encode("utf-8"))
@@ -92,13 +131,7 @@ def write_durable_bytes(target: str | Path, data: bytes) -> Path:
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = tmp_sibling(out)
     fault_point("fsio.before-tmp-write", path=out)
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        try:
-            os.fsync(handle.fileno())
-        except OSError:  # pragma: no cover - fs without fsync
-            pass
+    _write_synced(tmp, data)
     fault_point("fsio.after-tmp-fsync", path=out, torn_file=tmp)
     durable_replace(tmp, out)
     return out
