@@ -13,6 +13,12 @@ the half-million-row dataframe table is never touched.
 Asserted: lazy and eager produce ``Frame.equals``-identical results at
 both campaign sizes, the 100k-profile filtered query completes in <1s
 warm, and the pushdown path is >= 10x the eager path.
+
+The point-lookup case measures the other half of the loop: one profile
+pulled out of a packed archive with ``where=``. Its answer must equal
+the eager compose-then-filter one, and with the archive's parsed index
+and view memoized (the warm, interactive case) it must be >= 2x a
+lookup that decodes the index and derives its view from scratch.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ import numpy as np
 import pytest
 from conftest import save_artifact
 
+from repro.caliper import calipack
+from repro.caliper.records import CaliProfile, RegionRecord
 from repro.dataframe import Frame, col, scan_cache
-from repro.thicket import ingest_cache
+from repro.thicket import Thicket, ingest_cache
 
 N_SMALL = 10_000
 N_LARGE = 100_000
@@ -187,3 +195,80 @@ def bench_query_groupby_agg_100k(benchmark, campaigns):
     lazy_sec = min(times)
     benchmark.extra_info["speedup"] = round(eager_sec / lazy_sec, 2)
     benchmark.extra_info["lazy_queries_per_sec"] = round(1.0 / lazy_sec, 2)
+
+
+N_ARCHIVE = 512
+POINT_MACHINES = ("SPR-DDR", "SPR-HBM", "P9-V100", "EPYC-MI250X")
+POINT_VARIANTS = ("Base_Seq", "RAJA_Seq", "Base_OpenMP", "RAJA_OpenMP",
+                  "Base_CUDA", "RAJA_CUDA", "Base_HIP", "RAJA_HIP")
+
+
+def _archive_profile(i: int) -> CaliProfile:
+    """One packed profile with campaign-like globals and regions."""
+    profile = CaliProfile(globals={
+        "machine": POINT_MACHINES[i % 4],
+        "variant": POINT_VARIANTS[(i // 4) % 8],
+        "tuning": "block_256" if i % 2 else "default",
+        "trial": i // 32,
+        "problem_size": 32_000_000,
+        "compiler": "clang-17",
+        "raja_version": "2024.07.0",
+        "omp_max_threads": 56,
+        "launchdate": 1_700_000_000 + i,
+    })
+    root = RegionRecord(name="RAJAPerf", path=("RAJAPerf",), metrics={})
+    root.children = [
+        RegionRecord(
+            name=name, path=("RAJAPerf", name),
+            metrics={"Avg time/rank": 0.001 * (i + k + 1), "reps": 100.0},
+        )
+        for k, name in enumerate(KERNELS)
+    ]
+    profile.roots = [root]
+    return profile
+
+
+@pytest.fixture(scope="module")
+def packed_archive(tmp_path_factory):
+    path = tmp_path_factory.mktemp("point_archive") / calipack.ARCHIVE_NAME
+    with calipack.CalipackWriter(path) as writer:
+        for i in range(N_ARCHIVE):
+            writer.append_profile(f"p{i:04d}.cali", _archive_profile(i))
+    return str(path)
+
+
+POINT = (
+    (col("machine") == "P9-V100") & (col("variant") == "RAJA_CUDA")
+    & (col("tuning") == "default") & (col("trial") == 7)
+)
+
+
+def _point_lookup(archive: str) -> Thicket:
+    return Thicket.from_caliperreader(archive, where=POINT)
+
+
+def _cold_point_lookup(archive: str) -> Thicket:
+    calipack.clear_index_memo()
+    return _point_lookup(archive)
+
+
+def bench_query_point_lookup(benchmark, packed_archive):
+    """Warm point lookup (memoized index + view) vs a cold-memo one."""
+    eager = Thicket.from_caliperreader(packed_archive).filter_metadata(POINT)
+    cold, cold_sec = _time_eager(_cold_point_lookup, packed_archive)
+    _point_lookup(packed_archive)  # warm the memo
+    run, times = _timed(_point_lookup, packed_archive)
+    warm = benchmark.pedantic(run, rounds=7, iterations=1)
+    for result in (cold, warm):
+        assert result.metadata.nrows == 1
+        assert result.metadata.equals(eager.metadata)
+        assert result.dataframe.equals(eager.dataframe)
+
+    warm_sec = min(times)
+    speedup = cold_sec / warm_sec
+    benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.extra_info["point_lookups_per_sec"] = round(1.0 / warm_sec, 2)
+    assert speedup >= 2.0, (
+        f"memoized point lookup only {speedup:.1f}x a cold-memo lookup "
+        f"({warm_sec * 1e3:.2f}ms vs {cold_sec * 1e3:.2f}ms)"
+    )

@@ -42,14 +42,20 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import zlib
+from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import BinaryIO
 
 from repro.caliper.cali import _analyze_bytes, serialize_cali
 from repro.caliper.records import CaliProfile
 from repro.faults import fault_point
 from repro.util.fsio import durable_replace, fsync_dir, tmp_sibling
+from repro.util.memo import Derived
 
 ARCHIVE_SUFFIX = ".calipack"
 ARCHIVE_NAME = "campaign" + ARCHIVE_SUFFIX
@@ -76,7 +82,7 @@ class CalipackError(ValueError):
 #: index sentinel for a global whose value is not a JSON scalar — the
 #: attribute exists but cannot be compared at the index level, so a
 #: predicate referencing it never skips the entry.
-NONSCALAR_ATTR = {"__nonscalar__": True}
+NONSCALAR_ATTR: Mapping[str, bool] = MappingProxyType({"__nonscalar__": True})
 
 
 @dataclass(frozen=True)
@@ -91,14 +97,16 @@ class ArchiveEntry:
     filtered composition reconstruct the exact column order a full
     composition would produce. None for either means the index predates
     them or the entry was unparseable; such entries are never skipped.
+    Entries read from a sealed index are shared (:func:`sealed_index`),
+    so ``attrs`` is a read-only mapping and ``metrics`` a tuple.
     """
 
     name: str
     offset: int
     length: int
     crc32: int
-    attrs: dict | None = field(default=None, compare=False)
-    metrics: list | None = field(default=None, compare=False)
+    attrs: Mapping[str, object] | None = field(default=None, compare=False)
+    metrics: tuple[str, ...] | None = field(default=None, compare=False)
 
     @property
     def crc_hex(self) -> str:
@@ -353,13 +361,11 @@ class ArchiveSink:
 
 
 # ------------------------------------------------------------------ reading
-def read_footer(path: str | Path) -> tuple[int, int, int] | None:
+def _read_footer(handle: BinaryIO) -> tuple[int, int, int] | None:
     """``(index_off, index_len, crc32)`` from the footer, or None."""
-    p = Path(path)
-    size = p.stat().st_size
-    with open(p, "rb") as handle:
-        handle.seek(max(0, size - _FOOTER_TAIL))
-        tail = handle.read()
+    size = os.fstat(handle.fileno()).st_size
+    handle.seek(max(0, size - _FOOTER_TAIL))
+    tail = handle.read()
     at = tail.rfind(b"#calipack-footer ")
     if at < 0:
         return None
@@ -369,86 +375,121 @@ def read_footer(path: str | Path) -> tuple[int, int, int] | None:
     return int(match.group(1)), int(match.group(2)), int(match.group(3), 16)
 
 
-def load_index(path: str | Path) -> list[ArchiveEntry]:
-    """The archive's sealed entry index (verifying its CRC).
+#: sealed archives whose parsed index one process keeps (LRU beyond it)
+INDEX_MEMO_SIZE = 4
 
-    Raises :class:`CalipackError` for a missing/damaged footer or index
-    — callers that want salvage semantics use :func:`scan_entries`.
+# Resolved path -> parsed index. Daemon HTTP threads and the scheduler
+# thread read archives concurrently, hence the lock.
+_index_memo: OrderedDict[Path, "SealedIndex"] = OrderedDict()
+_index_memo_lock = threading.Lock()
+
+
+class SealedIndex:
+    """One archive's verified, parsed index, shared by every reader.
+
+    Memoized per process (:func:`sealed_index`), so nothing here is
+    handed out mutably: ``entries`` is a tuple of frozen entries whose
+    ``attrs`` are read-only mappings and ``metrics`` tuples. Readers
+    that derive more from the index (``thicket.ingest``'s columnar
+    view) keep it in ``derived``, so it lives and dies with the parse
+    it came from.
+    """
+
+    __slots__ = ("raw", "entries", "derived")
+
+    def __init__(self, raw: bytes, entries: tuple[ArchiveEntry, ...]) -> None:
+        self.raw = raw
+        self.entries = entries
+        self.derived = Derived()
+
+
+def sealed_index(path: str | Path) -> SealedIndex:
+    """The archive's verified index, parsed at most once per content.
+
+    Every call re-checks the magic, the footer, the exact index length
+    and the index CRC through one handle. The parse is then reused only
+    when the verified index bytes *equal* the memoized ones: mtime and
+    size are never trusted, so any rewrite that changes the index,
+    same-size and mtime-restored included, parses afresh. Raises
+    :class:`CalipackError` for a missing/damaged footer or index.
     """
     p = Path(path)
+    raw = _read_verified_index(p)
+    key = p.resolve()
+    with _index_memo_lock:
+        hit = _index_memo.get(key)
+        if hit is not None and hit.raw == raw:
+            _index_memo.move_to_end(key)
+            return hit
+    index = SealedIndex(raw, _decode_index(p, raw))
+    with _index_memo_lock:
+        _index_memo[key] = index
+        _index_memo.move_to_end(key)
+        while len(_index_memo) > INDEX_MEMO_SIZE:
+            _index_memo.popitem(last=False)
+    return index
+
+
+def clear_index_memo() -> None:
+    """Forget every memoized index (cold-start measurements, tests)."""
+    with _index_memo_lock:
+        _index_memo.clear()
+
+
+def _read_verified_index(p: Path) -> bytes:
     with open(p, "rb") as handle:
         if handle.read(len(MAGIC)) != MAGIC:
             raise CalipackError(f"{p}: not a calipack archive")
-    footer = read_footer(p)
-    if footer is None:
-        raise CalipackError(f"{p}: no archive footer (unfinished archive?)")
-    index_off, index_len, declared_crc = footer
-    with open(p, "rb") as handle:
+        footer = _read_footer(handle)
+        if footer is None:
+            raise CalipackError(f"{p}: no archive footer (unfinished archive?)")
+        index_off, index_len, declared_crc = footer
         handle.seek(index_off)
         raw = handle.read(index_len)
     if len(raw) != index_len:
         raise CalipackError(f"{p}: index truncated")
     if zlib.crc32(raw) & 0xFFFFFFFF != declared_crc:
         raise CalipackError(f"{p}: index CRC mismatch")
+    return raw
+
+
+def _decode_index(p: Path, raw: bytes) -> tuple[ArchiveEntry, ...]:
+    """The one JSON decode of a verified index (frozen entries)."""
     try:
         payload = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise CalipackError(f"{p}: unreadable index ({exc})") from exc
     if payload.get("format") != INDEX_FORMAT:
         raise CalipackError(f"{p}: not a {INDEX_FORMAT} index")
-    return [
+    return tuple(
         ArchiveEntry(
             name=e["name"],
             offset=int(e["offset"]),
             length=int(e["length"]),
             crc32=int(e["crc32"], 16),
-            attrs=e.get("attrs"),
-            metrics=e.get("metrics"),
+            attrs=_frozen_attrs(e.get("attrs")),
+            metrics=None if e.get("metrics") is None else tuple(e["metrics"]),
         )
         for e in payload.get("entries", [])
-    ]
+    )
 
 
-def load_columns_registry(path: str | Path) -> dict[str, list[str]] | None:
-    """The sealed archive's column registry, or None when absent.
+def _frozen_attrs(attrs: dict | None) -> Mapping[str, object] | None:
+    if attrs is None:
+        return None
+    return MappingProxyType({
+        name: NONSCALAR_ATTR if is_nonscalar_attr(value) else value
+        for name, value in attrs.items()
+    })
 
-    ``{"metrics": [...], "globals": [...]}`` in first-seen order across
-    entries — the schema a filtered composition needs to pad skipped
-    entries' columns without parsing them. Archives sealed before attrs
-    existed (or unsealed segments) return None: pushdown then degrades
-    to reading everything, never to a wrong answer.
+
+def load_index(path: str | Path) -> list[ArchiveEntry]:
+    """The archive's sealed entry index (verifying its CRC).
+
+    Raises :class:`CalipackError` for a missing/damaged footer or index
+    — callers that want salvage semantics use :func:`scan_entries`.
     """
-    p = Path(path)
-    try:
-        footer = read_footer(p)
-    except OSError:
-        return None
-    if footer is None:
-        return None
-    index_off, index_len, declared_crc = footer
-    try:
-        with open(p, "rb") as handle:
-            handle.seek(index_off)
-            raw = handle.read(index_len)
-    except OSError:
-        return None
-    if len(raw) != index_len or zlib.crc32(raw) & 0xFFFFFFFF != declared_crc:
-        return None
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
-        return None
-    columns = payload.get("columns")
-    if not isinstance(columns, dict):
-        return None
-    metrics = columns.get("metrics")
-    globals_ = columns.get("globals")
-    if not isinstance(metrics, list) or not isinstance(globals_, list):
-        return None
-    return {
-        "metrics": [str(m) for m in metrics],
-        "globals": [str(g) for g in globals_],
-    }
+    return list(sealed_index(path).entries)
 
 
 def extract_entry_schema(
@@ -499,8 +540,9 @@ def extract_entry_schema(
 
 def is_nonscalar_attr(value: object) -> bool:
     """True for the :data:`NONSCALAR_ATTR` sentinel (or any structured
-    attr value a future writer might store)."""
-    return isinstance(value, (dict, list))
+    attr value a future writer might store): anything but a JSON
+    scalar."""
+    return not (value is None or isinstance(value, (str, int, float, bool)))
 
 
 def scan_frames(path: str | Path) -> tuple[list[ArchiveEntry], int]:

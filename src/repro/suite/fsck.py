@@ -311,9 +311,20 @@ def _sweep_orphan_tmps(directory: Path, report: FsckReport) -> None:
     authoritative, and the next compaction rebuilds from it. Skipped
     entirely while a live campaign holds the directory lock, because
     that campaign's in-flight tmps are not orphans.
+
+    A service root's ``jobs/`` is swept tmp by tmp, lock or not: a live
+    daemon's scrub runs this pass while its HTTP threads create job
+    records, so a tmp whose writer (the pid its name carries) is alive,
+    this process included, is in flight and kept.
     """
+    from repro.service.jobstore import JOBS_DIR
     from repro.service.retention import COMPACT_SCRATCH_SUFFIX
 
+    jobs = directory / JOBS_DIR
+    if jobs.is_dir():
+        for tmp in sorted(jobs.glob(TMP_GLOB)):
+            if not _pid_alive(_tmp_writer_pid(tmp)):
+                _remove_tmp(tmp, report)
     if _campaign_is_live(directory):
         return
     roots = [
@@ -327,11 +338,21 @@ def _sweep_orphan_tmps(directory: Path, report: FsckReport) -> None:
         for tmp in sorted(root.glob(TMP_GLOB)) + sorted(
             root.glob("*" + COMPACT_SCRATCH_SUFFIX)
         ):
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - racing cleanup
-                continue
-            report.removed_tmp.append(tmp)
+            _remove_tmp(tmp, report)
+
+
+def _tmp_writer_pid(tmp: Path) -> int | None:
+    """The writer pid of a ``<name>.<pid>.<n>.tmp`` sibling, if named so."""
+    parts = tmp.name.split(".")
+    return int(parts[-3]) if len(parts) >= 4 and parts[-3].isdigit() else None
+
+
+def _remove_tmp(tmp: Path, report: FsckReport) -> None:
+    try:
+        tmp.unlink()
+    except OSError:  # pragma: no cover - racing cleanup
+        return
+    report.removed_tmp.append(tmp)
 
 
 def _check_ingest_cache(

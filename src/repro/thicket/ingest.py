@@ -12,6 +12,10 @@ This module replaces it:
 * **Sources expand to lightweight refs** (:class:`FileRef` for loose
   ``.cali`` files, :class:`EntryRef` for ``.calipack`` archive entries
   located via the footer index), so work can be split by index ranges.
+  The expanded list is an :class:`ArchiveView`, which also keeps what
+  queries derive from the index; one whole sealed archive's view is
+  memoized next to its parsed index, so repeated queries on an
+  unchanged archive decode and derive nothing twice.
 * **Record assembly is columnar**: payload JSON is walked *as parsed*
   (no ``RegionRecord`` objects on the hot path) and values append
   directly into growing per-column lists; a column first seen late is
@@ -26,11 +30,12 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, BinaryIO
 
 import numpy as np
@@ -39,6 +44,7 @@ from repro.caliper import calipack
 from repro.caliper.cali import parse_cali_payload, sealed_crc32
 from repro.caliper.records import CaliProfile
 from repro.dataframe import Frame
+from repro.util.memo import Derived
 
 PATH_SEP = "/"
 
@@ -72,7 +78,9 @@ class EntryRef:
     (scalar globals and document-order metric names); None when the
     archive predates them. They feed predicate pushdown — deciding
     entry survival and reconstructing skipped entries' column order
-    without reading any payload.
+    without reading any payload. Pushdown plans in the parent, so
+    they do not travel to pool workers (the read-only index mappings
+    would not pickle).
     """
 
     archive: str
@@ -80,8 +88,8 @@ class EntryRef:
     offset: int
     length: int
     crc32: int
-    attrs: dict | None = field(default=None, compare=False)
-    metrics: list | None = field(default=None, compare=False)
+    attrs: Mapping[str, Any] | None = field(default=None, compare=False)
+    metrics: tuple[str, ...] | None = field(default=None, compare=False)
 
     @property
     def label(self) -> str:
@@ -90,6 +98,10 @@ class EntryRef:
     @property
     def cache_name(self) -> str:
         return self.name
+
+    def __reduce__(self):
+        return EntryRef, (self.archive, self.name, self.offset, self.length,
+                          self.crc32)
 
 
 def profile_id(globals_: dict[str, Any], index: int) -> str:
@@ -106,21 +118,88 @@ def profile_id(globals_: dict[str, Any], index: int) -> str:
 
 
 # -------------------------------------------------------- source expansion
+class ArchiveView(Sequence):
+    """An expanded source list plus what queries derive from its index.
+
+    A sequence of units (:class:`CaliProfile`, :class:`FileRef`,
+    :class:`EntryRef`) in source order. The cache identity, the full
+    composition's schema, one object column and nonscalar mask per
+    predicate attr, and the name map are each built on first use and
+    kept. A view of one whole sealed archive is memoized next to that
+    archive's parsed index (:func:`archive_view`); any other source
+    list gets a fresh view running the same code. Memoized views are
+    shared across threads, so they hand out tuples, read-only mappings
+    and read-only arrays only.
+    """
+
+    __slots__ = ("units", "_derived")
+
+    def __init__(self, units: Iterable[Any]) -> None:
+        self.units: tuple[Any, ...] = tuple(units)
+        self._derived = Derived()
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+    def __getitem__(self, index):
+        return self.units[index]
+
+    def identity(self) -> list[tuple[str, str]] | None:
+        """The ingest cache's content address (see :func:`source_identity`)."""
+        pairs = self._derived.get("identity", lambda: source_identity(self.units))
+        return None if pairs is None else list(pairs)
+
+    def find(self, name: str) -> EntryRef | None:
+        """The first archive entry named ``name``, or None."""
+        by_name = self._derived.get("by_name", lambda: _by_name(self.units))
+        return by_name.get(name)
+
+    def schema(self) -> tuple[Mapping[str, Any], tuple[str, ...]] | None:
+        """``(meta_columns, metric_columns)`` of the full composition.
+
+        Reconstructed from the per-entry index schema alone (see
+        :func:`index_pushdown`); None unless every unit is an archive
+        entry with indexed attrs and metrics.
+        """
+        return self._derived.get("schema", lambda: _index_schema(self.units))
+
+    def column(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, nonscalar)`` for attr ``name`` over every unit.
+
+        ``values`` is an object column of the indexed scalars, None
+        where the attr is absent or nonscalar (the metadata table pads
+        an absent global with None too); ``nonscalar`` marks the
+        entries the index cannot judge. Both arrays are read-only.
+        Only views with a :meth:`schema` have columns. A column of an
+        attr no entry carries is built per call, so what the view keeps
+        stays bounded by the index.
+        """
+        if name not in self.schema()[0]:
+            return _attr_column(self.units, name)
+        return self._derived.get(
+            ("column", name), lambda: _attr_column(self.units, name)
+        )
+
+
 def expand_sources(
     sources,
-) -> tuple[list[Any], list[tuple[str, str]]]:
-    """Normalize sources into (units, expansion errors).
+) -> tuple[ArchiveView, list[tuple[str, str]]]:
+    """Normalize sources into (their view, expansion errors).
 
     Units are :class:`CaliProfile` objects, :class:`FileRef`, or
     :class:`EntryRef` items in source order; ``.calipack`` paths expand
     to one :class:`EntryRef` per index entry, ``archive::name`` member
-    refs to exactly one. An unreadable archive becomes an expansion
+    refs to exactly one, resolved through the archive's view. A source
+    list that is exactly one archive path returns that archive's view
+    (:func:`archive_view`). An unreadable archive becomes an expansion
     error (the caller decides raise-vs-warn).
     """
     if isinstance(sources, (CaliProfile, str, Path)):
         sources = [sources]
+    sources = list(sources)
     units: list[Any] = []
     errors: list[tuple[str, str]] = []
+    whole: ArchiveView | None = None
     for src in sources:
         if isinstance(src, CaliProfile):
             units.append(src)
@@ -130,16 +209,41 @@ def expand_sources(
         try:
             if member is not None:
                 archive, name = member
-                entry = calipack.find_entry(archive, name)
-                units.append(_entry_ref(archive, entry))
+                ref = archive_view(archive).find(name)
+                if ref is None:
+                    raise KeyError(f"{archive}: no archive entry named {name!r}")
+                units.append(ref)
             elif calipack.is_archive(text):
-                for entry in calipack.load_entries(text):
-                    units.append(_entry_ref(text, entry))
+                whole = archive_view(text)
+                units.extend(whole.units)
             else:
                 units.append(FileRef(path=text))
         except (OSError, ValueError, KeyError) as exc:
             errors.append((text, f"{type(exc).__name__}: {exc}"))
-    return units, errors
+    if len(sources) == 1 and whole is not None:
+        return whole, errors
+    return ArchiveView(units), errors
+
+
+def archive_view(archive: str) -> ArchiveView:
+    """The view of every entry of one archive.
+
+    Sealed: built once per verified index and kept with it, keyed by
+    the path as given (refs carry that spelling). Unsealed (a crashed
+    segment): the salvage scan's entries, never memoized.
+    """
+    try:
+        index = calipack.sealed_index(archive)
+    except calipack.CalipackError:
+        entries, _ = calipack.scan_entries(archive)
+        return _archive_view(archive, entries)
+    return index.derived.get(
+        (ArchiveView, archive), lambda: _archive_view(archive, index.entries)
+    )
+
+
+def _archive_view(archive: str, entries) -> ArchiveView:
+    return ArchiveView(_entry_ref(archive, entry) for entry in entries)
 
 
 def _entry_ref(archive: str | Path, entry: calipack.ArchiveEntry) -> EntryRef:
@@ -154,7 +258,15 @@ def _entry_ref(archive: str | Path, entry: calipack.ArchiveEntry) -> EntryRef:
     )
 
 
-def source_identity(units: list[Any]) -> list[tuple[str, str]] | None:
+def _by_name(units: tuple[Any, ...]) -> dict[str, EntryRef]:
+    by_name: dict[str, EntryRef] = {}
+    for unit in units:
+        if isinstance(unit, EntryRef):
+            by_name.setdefault(unit.name, unit)
+    return by_name
+
+
+def source_identity(units: Sequence[Any]) -> tuple[tuple[str, str], ...] | None:
     """Content address of the source set: ordered (name, crc32) pairs.
 
     Archive entries carry their CRC in the index (free); loose files
@@ -173,7 +285,7 @@ def source_identity(units: list[Any]) -> list[tuple[str, str]] | None:
                 return None
         else:
             return None
-    return out
+    return tuple(out)
 
 
 # ------------------------------------------------------- columnar builders
@@ -337,26 +449,21 @@ def concat_composed(a: Frame, b: Frame) -> Frame:
 
 
 def index_pushdown(
-    units: list[Any], expr
-) -> tuple[list[Any], list[int], dict[str, Any], list[str]] | None:
+    view: ArchiveView, expr
+) -> tuple[list[Any], list[int], Mapping[str, Any], tuple[str, ...]] | None:
     """Plan an index-level predicate pushdown over archive entries.
 
     Returns ``(kept_units, kept_indices, meta_columns, metric_columns)``
     — the surviving entries with their *original* source indices (so
     fallback profile ids stay stable) plus the full composition's
-    metadata and metric column orders, reconstructed from the per-entry
-    index schema so skipped entries' columns can be padded back in.
-    ``meta_columns`` maps each attr to the dtype the full composition
-    gives its column, when a subset could type it narrower: an attr a
-    skipped entry lacks, or types differently, widens it. None means no
-    subset can differ (one type in every entry; ``profile``).
+    metadata and metric column orders (:meth:`ArchiveView.schema`), so
+    skipped entries' columns can be padded back in.
 
-    The predicate is evaluated once, over one n-length object column
-    per referenced attr (an attr missing from an entry reads as None,
-    matching the metadata table's padding for absent globals). Doubt
-    keeps entries: an entry whose referenced attr is nonscalar is kept,
-    and an evaluation that raises keeps every entry. The exact filter
-    after composition is the authority; this only skips parses.
+    The predicate is evaluated once, over the view's object column per
+    referenced attr. Doubt keeps entries: an entry whose referenced
+    attr is nonscalar is kept, and an evaluation that raises keeps
+    every entry. The exact filter after composition is the authority;
+    this only skips parses.
 
     Returns None — compose everything, filter exactly — whenever the
     skip cannot be proven safe: any non-archive source, any entry
@@ -364,23 +471,16 @@ def index_pushdown(
     ``profile`` column, or a predicate rejecting every entry (the empty
     result's dtypes are not reconstructible from the index alone).
     """
-    if not units or not all(isinstance(u, EntryRef) for u in units):
+    names = expr.references()
+    schema = view.schema()
+    if schema is None or "profile" in names:
         return None
-    if any(u.attrs is None or u.metrics is None for u in units):
-        return None
-    if "profile" in expr.references():
-        return None
-    n = len(units)
+    n = len(view)
     keep = np.zeros(n, dtype=bool)
     columns: dict[str, np.ndarray] = {}
-    for name in expr.references():
-        values = [u.attrs.get(name) for u in units]
-        nonscalar = np.fromiter(
-            map(calipack.is_nonscalar_attr, values), dtype=bool, count=n
-        )
+    for name in names:
+        columns[name], nonscalar = view.column(name)
         keep |= nonscalar
-        column = columns[name] = np.empty(n, dtype=object)
-        column[:] = [None if skip else v for v, skip in zip(values, nonscalar)]
     try:
         keep |= np.broadcast_to(
             np.asarray(expr.evaluate(columns)).astype(bool), (n,)
@@ -390,23 +490,54 @@ def index_pushdown(
     kept_indices = np.flatnonzero(keep).tolist()
     if not kept_indices:
         return None
+    units = view.units
+    return [units[i] for i in kept_indices], kept_indices, *schema
+
+
+def _index_schema(
+    units: tuple[Any, ...],
+) -> tuple[Mapping[str, Any], tuple[str, ...]] | None:
+    """The full composition's metadata dtypes and metric column order.
+
+    ``meta_columns`` maps each attr to the dtype the full composition
+    gives its column, when a subset could type it narrower: an attr an
+    entry lacks, or types differently, widens it. None means no subset
+    can differ (one type in every entry; ``profile``).
+    """
+    if not units or not all(
+        isinstance(u, EntryRef) and u.attrs is not None and u.metrics is not None
+        for u in units
+    ):
+        return None
+    n = len(units)
     attrs = [u.attrs for u in units]
     meta_cols: dict[str, Any] = {"profile": None}
     for name, count in Counter(chain.from_iterable(attrs)).items():
         if count < n:  # an entry without the attr puts None in the column
             meta_cols[name] = np.dtype(object)
             continue
-        kinds = set(map(type, map(itemgetter(name), attrs)))
-        if len(kinds) == 1:
+        values = list(map(itemgetter(name), attrs))
+        if len(set(map(type, values))) == 1:
             meta_cols[name] = None  # one type: every subset types alike
-        elif kinds & {dict, list}:
+        elif any(map(calipack.is_nonscalar_attr, values)):
             meta_cols[name] = np.dtype(object)
         else:
-            values = [a[name] for a in attrs]
             meta_cols[name] = Frame({name: values})[name].dtype
-    metric_cols = dict.fromkeys(chain.from_iterable(u.metrics for u in units))
-    kept = [units[i] for i in kept_indices]
-    return kept, kept_indices, meta_cols, list(metric_cols)
+    metric_cols = tuple(dict.fromkeys(chain.from_iterable(u.metrics for u in units)))
+    return MappingProxyType(meta_cols), metric_cols
+
+
+def _attr_column(units: tuple[Any, ...], name: str) -> tuple[np.ndarray, np.ndarray]:
+    n = len(units)
+    values = [u.attrs.get(name) for u in units]
+    nonscalar = np.fromiter(
+        map(calipack.is_nonscalar_attr, values), dtype=bool, count=n
+    )
+    column = np.empty(n, dtype=object)
+    column[:] = [None if skip else v for v, skip in zip(values, nonscalar)]
+    column.flags.writeable = False
+    nonscalar.flags.writeable = False
+    return column, nonscalar
 
 
 # ----------------------------------------------------------- chunk loading

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.caliper.records import CaliProfile
 from repro.dataframe import Expr, Frame, col, parse_expr
+from repro.dataframe.groupby import factorize
 from repro.thicket import ingest, ingest_cache
 
 PATH_SEP = "/"
@@ -97,14 +98,15 @@ class Thicket:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         where_expr = _resolve_where(where)
-        units, expand_errors = ingest.expand_sources(sources)
+        view, expand_errors = ingest.expand_sources(sources)
+        units = view.units
         if expand_errors and on_error == "raise":
             src, reason = expand_errors[0]
             raise ValueError(f"{src}: {reason}")
         if not units and not expand_errors:
             raise ValueError("no profiles given")
 
-        identity = ingest.source_identity(units) if cache is not None else None
+        identity = view.identity() if cache is not None else None
         if identity is not None and not expand_errors:
             hit = ingest_cache.load(cache, identity)
             if hit is not None:
@@ -121,7 +123,7 @@ class Thicket:
 
         compose, indices, pad = units, None, None
         if where_expr is not None:
-            plan = ingest.index_pushdown(units, where_expr)
+            plan = ingest.index_pushdown(view, where_expr)
             if plan is not None and len(plan[0]) < len(units):
                 compose, indices, meta_cols, metric_cols = plan
                 pad = (meta_cols, metric_cols)
@@ -210,7 +212,9 @@ class Thicket:
         ``predicate`` is a column expression (``col("variant") == "x"``)
         evaluated vectorized, or a row callable (vectorized by tracing
         when it proves to be a simple column predicate). The dataframe
-        is cut to the surviving profiles with one ``np.isin`` pass.
+        is cut to the surviving profiles by :func:`_membership_mask`:
+        profile ids coded to ints with the groupby/join key semantics,
+        then one integer ``np.isin``.
         """
         keep_md = self.metadata.filter(predicate)
         keep_df = self.dataframe.filter(
@@ -426,15 +430,15 @@ def _apply_where(thicket: "Thicket", where_expr: "Expr | None") -> "Thicket":
 
 
 def _membership_mask(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Boolean mask of ``values`` rows whose value appears in ``keep``."""
-    keep_list = list(dict.fromkeys(keep.tolist()))
-    try:
-        return np.isin(values, np.array(keep_list, dtype=object))
-    except (TypeError, ValueError):  # pragma: no cover - unorderable ids
-        keep_set = set(keep_list)
-        return np.fromiter(
-            (v in keep_set for v in values), dtype=bool, count=len(values)
-        )
+    """Boolean mask of ``values`` rows whose value appears in ``keep``.
+
+    Both sides are coded together by :func:`factorize` — one key
+    semantics with groupby and join: dict equality (``1 == 1.0``,
+    ``None == None``), and NaN matches nothing — then compared as ints,
+    one pass however many ids ``keep`` holds.
+    """
+    codes = factorize(np.concatenate([keep, values]))
+    return np.isin(codes[len(keep):], codes[: len(keep)])
 
 
 def _pad_schema(

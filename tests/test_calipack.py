@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import sys
+import threading
 
 import pytest
 
 from repro.caliper import calipack
 from repro.caliper.cali import read_cali, serialize_cali, write_cali
 from repro.caliper.records import CaliProfile, RegionRecord
+from repro.dataframe import col
 from repro import faults
 from repro.faults import Fault, FaultPlan
 from repro.suite.executor import SuiteExecutor
 from repro.suite.fsck import fsck_directory
 from repro.suite.run_params import RunParams
+from repro.thicket import Thicket
 
 
 def make_profile(tag: str, value: float = 1.0) -> CaliProfile:
@@ -252,6 +258,130 @@ def test_remerge_after_partial_segment_unlink_is_idempotent(tmp_path):
     assert calipack.merge_segments(crashed) == archive
     assert archive.read_bytes() == golden
     assert not (crashed / calipack.SEGMENT_DIR).exists()
+
+
+# ------------------------------------------------------------ index memo
+@pytest.fixture
+def decodes(monkeypatch):
+    """Counts index JSON decodes (memo misses)."""
+    calls = {"n": 0}
+    orig = calipack._decode_index
+
+    def counting(path, raw):
+        calls["n"] += 1
+        return orig(path, raw)
+
+    monkeypatch.setattr(calipack, "_decode_index", counting)
+    return calls
+
+
+def _write_archive(path, variants: dict[str, str]):
+    with calipack.CalipackWriter(path) as writer:
+        for name, variant in variants.items():
+            writer.append_profile(name, make_profile(variant))
+    return path
+
+
+def test_memo_hit_skips_the_decode_and_hands_out_copies(tmp_path, decodes):
+    archive = _write_archive(tmp_path / "a.calipack", {"p0.cali": "v0"})
+    first = calipack.load_index(archive)
+    first.clear()  # the caller's list, not the memo's
+    second = calipack.load_index(archive)
+    assert decodes["n"] == 1
+    assert [e.name for e in second] == ["p0.cali"]
+    with pytest.raises(TypeError):
+        second[0].attrs["variant"] = "tampered"
+    assert isinstance(second[0].metrics, tuple)
+
+
+def test_same_size_rewrite_with_restored_mtime_misses_the_memo(tmp_path, decodes):
+    """Only the index bytes decide a hit: a rewrite that keeps size and
+    mtime but changes one attr must show the new attr and change the
+    ``where=`` answer."""
+    archive = _write_archive(tmp_path / "a.calipack", {"p0.cali": "v1", "p1.cali": "v0"})
+    other = _write_archive(tmp_path / "b.calipack", {"p0.cali": "v2", "p1.cali": "v0"})
+    before = Thicket.from_caliperreader(str(archive), where=col("variant") == "v2")
+    assert before.metadata.nrows == 0
+    assert calipack.load_index(archive)[0].attrs["variant"] == "v1"
+
+    stat = os.stat(archive)
+    data = other.read_bytes()
+    assert len(data) == stat.st_size
+    with open(archive, "r+b") as handle:
+        handle.write(data)
+    os.utime(archive, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(archive).st_mtime_ns == stat.st_mtime_ns
+
+    decodes["n"] = 0
+    assert calipack.load_index(archive)[0].attrs["variant"] == "v2"
+    assert decodes["n"] == 1
+    after = Thicket.from_caliperreader(str(archive), where=col("variant") == "v2")
+    assert after.metadata["variant"].tolist() == ["v2"]
+
+
+def test_flipped_index_byte_with_warm_memo_still_raises(tmp_path):
+    archive = _write_archive(tmp_path / "a.calipack", {"p0.cali": "v0", "p1.cali": "v1"})
+    calipack.load_index(archive)  # warm
+    raw = bytearray(archive.read_bytes())
+    index_off = int(re.search(rb"index_off=(\d+)", raw[-128:]).group(1))
+    raw[index_off + 5] ^= 0x01
+    archive.write_bytes(bytes(raw))
+    with pytest.raises(calipack.CalipackError, match="CRC"):
+        calipack.load_index(archive)
+    assert sorted(e.name for e in calipack.load_entries(archive)) == [
+        "p0.cali", "p1.cali",
+    ]
+
+
+def test_index_memo_evicts_least_recently_used(tmp_path, decodes):
+    calipack.clear_index_memo()
+    archives = [
+        _write_archive(tmp_path / f"a{i}.calipack", {"p.cali": f"v{i}"})
+        for i in range(calipack.INDEX_MEMO_SIZE + 1)
+    ]
+    for archive in archives:
+        calipack.load_index(archive)
+    assert decodes["n"] == len(archives)
+    assert len(calipack._index_memo) == calipack.INDEX_MEMO_SIZE
+    calipack.load_index(archives[-1])  # still memoized
+    assert decodes["n"] == len(archives)
+    calipack.load_index(archives[0])  # evicted first
+    assert decodes["n"] == len(archives) + 1
+    assert len(calipack._index_memo) == calipack.INDEX_MEMO_SIZE
+
+
+def test_concurrent_index_reads_share_one_memo(tmp_path):
+    """More reader threads than cores, more archives than the memo
+    holds, a tiny switch interval: every read sees its own archive's
+    entries and the memo never exceeds its bound."""
+    calipack.clear_index_memo()
+    archives = [
+        _write_archive(tmp_path / f"a{i}.calipack", {f"p{i}.cali": f"v{i}"})
+        for i in range(calipack.INDEX_MEMO_SIZE + 2)
+    ]
+    problems: list[str] = []
+
+    def reader(seed: int) -> None:
+        for k in range(60):
+            i = (seed + k) % len(archives)
+            entries = calipack.load_index(archives[i])
+            if [e.name for e in entries] != [f"p{i}.cali"]:
+                problems.append(f"archive {i}: {entries}")
+            if len(calipack._index_memo) > calipack.INDEX_MEMO_SIZE:
+                problems.append("memo over its bound")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(s,)) for s in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not problems
 
 
 # ------------------------------------------------------- campaign write path

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import warnings
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.caliper import calipack
 from repro.caliper.cali import write_cali
 from repro.caliper.records import CaliProfile, RegionRecord
+from repro.dataframe import col
 from repro.suite.executor import SuiteExecutor
 from repro.suite.fsck import fsck_directory
 from repro.suite.refchecksums import MISSING, ReferenceChecksumStore
@@ -112,6 +114,96 @@ def test_member_ref_selects_single_entry(tmp_path, loose_files):
         calipack.member_ref(archive, entries[0].name)
     )
     assert one.metadata.nrows == 1
+
+
+# -------------------------------------------------------------- archive view
+@pytest.fixture
+def index_decodes(monkeypatch):
+    """Counts index JSON decodes (memo misses)."""
+    calls = {"n": 0}
+    real = calipack._decode_index
+
+    def counted(path, raw):
+        calls["n"] += 1
+        return real(path, raw)
+
+    monkeypatch.setattr(calipack, "_decode_index", counted)
+    return calls
+
+
+def _pack(directory, files):
+    directory.mkdir()
+    for path in files:
+        (directory / path.rsplit("/", 1)[1]).write_bytes(open(path, "rb").read())
+    archive, _ = calipack.pack_directory(directory)
+    return str(archive)
+
+
+def test_repeat_where_query_decodes_no_index(tmp_path, loose_files, index_decodes):
+    archive = _pack(tmp_path / "packed", loose_files)
+    expr = col("variant") == "v3"
+    first = Thicket.from_caliperreader(archive, where=expr)
+    index_decodes["n"] = 0
+    second = Thicket.from_caliperreader(archive, where=expr)
+    assert index_decodes["n"] == 0
+    assert second.metadata.equals(first.metadata)
+    assert second.dataframe.equals(first.dataframe)
+    assert second.metadata["variant"].tolist() == ["v3"]
+
+
+def test_member_refs_resolve_through_one_index_parse(
+    tmp_path, loose_files, index_decodes
+):
+    archive = _pack(tmp_path / "packed", loose_files)
+    calipack.clear_index_memo()
+    index_decodes["n"] = 0
+    refs = [calipack.member_ref(archive, f"p{i}.cali") for i in range(5)]
+    thicket = Thicket.from_caliperreader(refs)
+    assert index_decodes["n"] == 1
+    assert thicket.metadata["variant"].tolist() == [f"v{i}" for i in range(5)]
+    missing = calipack.member_ref(archive, "nope.cali")
+    with pytest.raises(ValueError, match="no archive entry named 'nope.cali'"):
+        Thicket.from_caliperreader(refs + [missing])
+
+
+def test_pushdown_over_several_archives_equals_eager(tmp_path, loose_files):
+    """Two archives are not one whole archive: the view is built fresh,
+    through the same schema code, and still skips parses."""
+    first = _pack(tmp_path / "a", loose_files[:4])
+    second = _pack(tmp_path / "b", loose_files[4:])
+    expr = col("machine") == "m1"
+    eager = Thicket.from_caliperreader([first, second]).filter_metadata(expr)
+    view, _ = ingest.expand_sources([first, second])
+    assert view is not ingest.archive_view(first)
+    plan = ingest.index_pushdown(view, expr)
+    assert plan is not None and plan[1] == [1, 3, 5, 7]
+    pushed = Thicket.from_caliperreader([first, second], where=expr)
+    assert pushed.metadata.equals(eager.metadata)
+    assert pushed.dataframe.equals(eager.dataframe)
+
+
+def test_archive_view_hands_out_nothing_mutable(tmp_path, loose_files):
+    archive = _pack(tmp_path / "packed", loose_files)
+    view, _ = ingest.expand_sources(archive)
+    again, _ = ingest.expand_sources([archive])
+    assert again is view  # one memoized view per verified index
+    identity = view.identity()
+    identity.clear()
+    assert len(view.identity()) == len(loose_files)
+    values, nonscalar = view.column("variant")
+    with pytest.raises(ValueError):
+        values[0] = "tampered"
+    with pytest.raises(ValueError):
+        nonscalar[0] = True
+    meta_cols, metric_cols = view.schema()
+    with pytest.raises(TypeError):
+        meta_cols["variant"] = None
+    assert isinstance(metric_cols, tuple)
+    with pytest.raises(TypeError):
+        view[0].attrs["variant"] = "tampered"
+    # refs travel to pool workers without the index-side schema
+    ref = pickle.loads(pickle.dumps(view[0]))
+    assert ref == view[0] and ref.attrs is None
 
 
 def test_on_error_warn_composes_survivors(tmp_path, loose_files):

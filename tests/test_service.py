@@ -19,7 +19,8 @@ import time
 import pytest
 
 from repro.chaos import invariants
-from repro.faults import SITES
+from repro import faults
+from repro.faults import SITES, Fault, FaultPlan
 from repro.service import admission
 from repro.service.admission import AdmissionDecision, AdmissionPolicy
 from repro.service.api import ServiceAPI, analysis_payload
@@ -44,6 +45,7 @@ from repro.service.scheduler import JobScheduler, SchedulerConfig
 from repro.suite.errors import CampaignLockedError
 from repro.suite.executor import SuiteExecutor
 from repro.suite.fsck import fsck_directory
+from repro.util.fsio import TMP_GLOB, tmp_sibling
 
 _CTX = multiprocessing.get_context("fork")
 
@@ -503,6 +505,39 @@ def test_fsck_without_quarantine_only_reports(tmp_path):
     assert any("damaged job record torn.json" in n for n in report.notes)
     assert path.exists()  # report-only mode touches nothing
     assert not (store.jobs_dir / "torn.json.bak").exists()
+
+
+def test_fsck_sweeps_a_dead_writers_job_record_tmp(tmp_path):
+    """A submit killed between the record tmp's fsync and its replace
+    leaves ``jobs/<id>.json.<pid>.<n>.tmp``; its writer is dead, so the
+    repairing fsck removes it."""
+    store = _store(tmp_path)
+    pid = os.fork()
+    if pid == 0:  # the submitter, killed mid-save by the armed fault
+        faults.install(FaultPlan([Fault(site="fsio.after-tmp-fsync", action="exit")]))
+        try:
+            store.submit(_spec(), job_id="j1")
+        finally:
+            os._exit(0)
+    _, status = os.waitpid(pid, 0)
+    assert os.WEXITSTATUS(status) == 77
+    (orphan,) = store.jobs_dir.glob(TMP_GLOB)
+    assert orphan.name.startswith(f"j1.json.{pid}.")
+
+    report = fsck_directory(tmp_path, quarantine=True)
+    assert orphan in report.removed_tmp
+    assert not orphan.exists()
+
+
+def test_fsck_keeps_a_live_writers_job_record_tmp(tmp_path):
+    """The daemon's scrub runs fsck while its own threads write records:
+    a tmp whose writer pid is alive is in flight, not orphaned."""
+    store = _store(tmp_path)
+    in_flight = tmp_sibling(store.record_path("j2"))
+    in_flight.write_text("half a record")
+    report = fsck_directory(tmp_path, quarantine=True)
+    assert in_flight.exists()
+    assert not report.removed_tmp
 
 
 # ------------------------------------------------------------- invariants

@@ -86,6 +86,40 @@ class TestQueries:
         with pytest.raises(KeyError):
             thicket.groupby("nope")
 
+    @pytest.mark.parametrize("values, keep", [
+        # NaN matches nothing, not even itself; None matches None
+        ([float("nan"), None, "a", 1, None], [float("nan"), None]),
+        # 1 == 1.0 == True, as a dict compares keys
+        ([1, 2.0, 3, True, 2], [1.0, 2]),
+        (np.array([1.0, np.nan, 2.5]), np.array([np.nan, 2.5])),
+        (np.array(["x", "y", "z"]), np.array(["z", "x"], dtype=object)),
+        (["a", "b"], []),
+    ])
+    def test_membership_mask_matches_row_loop(self, values, keep):
+        from repro.thicket.thicket import _membership_mask
+
+        values = np.array(values, dtype=object) if isinstance(values, list) else values
+        keep = np.array(keep, dtype=object) if isinstance(keep, list) else keep
+        reference = [any(bool(v == k) for k in keep) for v in values]
+        assert _membership_mask(values, keep).tolist() == reference
+
+    def test_filter_metadata_with_nan_and_none_profile_ids(self):
+        from repro.dataframe import Frame
+
+        ids = np.array(["a", None, float("nan"), 1, 1.0], dtype=object)
+        metadata = Frame({"profile": ids, "keep": np.array([1, 1, 1, 0, 1])})
+        dataframe = Frame({
+            "profile": np.repeat(ids, 2), "name": np.array(["K"] * 10, dtype=object),
+            "path": np.array(["K"] * 10, dtype=object), "depth": np.ones(10, int),
+        })
+        kept = Thicket(dataframe, metadata).filter_metadata(
+            lambda md: md["keep"] == 1
+        )
+        # None matches None; NaN matches nothing; 1.0 also keeps id 1
+        assert [str(p) for p in kept.dataframe["profile"]] == [
+            "a", "a", "None", "None", "1", "1", "1.0", "1.0",
+        ]
+
     def test_tree_rendering(self, thicket):
         text = thicket.tree(metric="Avg time/rank")
         assert "RAJAPerf" in text and "Stream_TRIAD" in text and "[Avg time/rank=" in text
