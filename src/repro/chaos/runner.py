@@ -533,22 +533,17 @@ class ChaosRunner:
 
     @staticmethod
     def _wait_shards_quiesce(outdir: Path, timeout_s: float = 10.0) -> None:
-        """Wait for orphaned shard processes to notice their coordinator
-        died (the lease thread's re-parenting poll) and exit, so the
-        post-crash audit reads a quiescent store."""
-        from repro.suite.manifest import _pid_alive
-        from repro.suite.shard import SHARD_DIR, read_lease
+        """Wait for orphaned shard processes to read their coordinator's
+        death as EOF and exit, so the post-crash audit reads a quiescent
+        store."""
+        from repro.suite.manifest import campaign_is_live
+        from repro.suite.shard import SHARD_DIR
 
-        shard_root = outdir / SHARD_DIR
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
-            live = False
-            if shard_root.is_dir():
-                for shard_dir in shard_root.iterdir():
-                    lease = read_lease(shard_dir) if shard_dir.is_dir() else None
-                    if lease is not None and _pid_alive(lease.get("pid")):
-                        live = True
-            if not live:
+            if not any(
+                campaign_is_live(d) for d in (outdir / SHARD_DIR).glob("*")
+            ):
                 return
             time.sleep(0.1)
 
@@ -648,8 +643,8 @@ class ChaosRunner:
             )
             return
         if mode == "sharded":
-            # A killed coordinator leaves shard processes to notice the
-            # re-parenting and exit; audit only a quiescent store.
+            # A killed coordinator leaves shard processes to read EOF
+            # on their pipes and exit; audit only a quiescent store.
             self._wait_shards_quiesce(outdir)
 
         # Phase 2: post-crash atomicity — targets are never torn.
@@ -883,24 +878,19 @@ class ChaosRunner:
 
     @staticmethod
     def _wait_jobs_quiesce(root: Path, timeout_s: float = 15.0) -> None:
-        """Wait for orphaned job runners to notice their scheduler died
-        (the orphan watch's re-parenting poll) and exit, so the
-        post-crash audit reads a quiescent store."""
-        from repro.suite.manifest import LOCK_NAME, _pid_alive
+        """Wait for orphaned job runners to read their scheduler's death
+        as EOF and exit, so the post-crash audit reads a quiescent
+        store."""
+        from repro.suite.manifest import _pid_alive, campaign_is_live
 
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
-            live = False
+            live = any(
+                campaign_is_live(c) for c in (root / "campaigns").glob("*")
+            )
             for lease in sorted((root / "jobs").glob("*.lease")):
                 try:
                     holder = json.loads(lease.read_text()).get("pid")
-                except (OSError, ValueError):
-                    holder = None
-                if _pid_alive(holder):
-                    live = True
-            for lock in sorted((root / "campaigns").glob(f"*/{LOCK_NAME}")):
-                try:
-                    holder = json.loads(lock.read_text()).get("pid")
                 except (OSError, ValueError):
                     holder = None
                 if _pid_alive(holder):

@@ -12,14 +12,15 @@ code  meaning
 1     unclean run (kernel failures recorded, campaign finished)
 2     usage error (argparse, invalid fault spec, bad arguments)
 3     campaign directory locked by a live campaign
-4     degraded (analysis lost sources, or shard-status found an
-      expired lease / inconsistent shard map)
+4     degraded (analysis lost sources, or shard-status found
+      pending cells with no live lock holder / an inconsistent
+      shard map)
 5     chaos invariant violation (or self-test failed to detect)
 6     job rejected by admission control (quota or queue bound)
 7     job id unknown to the campaign service job store
 73    worker crash sentinel (a supervised worker died mid-cell)
-74    shard orphaned (a shard supervisor lost its coordinator)
-75    job orphaned (a service job runner lost its scheduler)
+74    shard orphaned (EOF on a shard's pipe: its coordinator died)
+75    job orphaned (EOF on a job runner's pipe: its scheduler died)
 77    chaos kill (internal to the chaos harness's child runs)
 130   interrupted (SIGINT; 128 + signal number)
 ====  =========================================================

@@ -27,7 +27,7 @@ Subcommands mirror how the paper's pipeline is driven:
     ``--print-kernels`` etc.).
 ``shard-status``
     Progress of a sharded campaign (``run --shards N``): per-shard
-    ok/failed/pending counts, liveness leases, merge state.
+    ok/failed/pending counts, lock-holder liveness, merge state.
 ``chaos``
     Crash-consistency chaos trials: kill the pipeline at every durable
     write boundary and machine-check that fsck + resume + analyze
@@ -131,8 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "processes)")
     run.add_argument("--shard-lease-timeout", type=float, default=30.0,
                      metavar="SECONDS",
-                     help="declare a shard wedged when its lease goes "
-                          "unrefreshed for this long (sharded mode)")
+                     help="declare a shard wedged (kill and heal it) when "
+                          "no beat arrives from it for this long "
+                          "(sharded mode)")
     run.add_argument("--schedule", choices=["lpt", "fifo"], default="lpt",
                      help="cell dispatch order: 'lpt' sorts and shards "
                           "cells by estimated cost (longest first), "
@@ -233,16 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
         "shard-status",
         help="progress of a sharded campaign's shards",
         description="Read the shard map, each shard's manifest and "
-                    "liveness lease, and report per-shard ok/failed/"
+                    "campaign lock, and report per-shard ok/failed/"
                     "pending counts plus whether the merged campaign "
-                    "archive exists yet.",
+                    "archive exists yet. Exit 4 when a shard still has "
+                    "pending cells and no live process holds its lock "
+                    "or the campaign's.",
     )
     shard_status.add_argument("directory", help="campaign output directory")
-    shard_status.add_argument(
-        "--lease-timeout", type=float, default=30.0,
-        help="seconds after which an unrefreshed shard lease counts as "
-             "expired (exit 4 when the shard still has pending cells)",
-    )
 
     fsck = sub.add_parser(
         "fsck",
@@ -734,11 +732,9 @@ def _cmd_shard_status(args: argparse.Namespace) -> int:
         watermarks_from_env,
     )
 
-    report = shard_status_report(
-        args.directory, lease_timeout=args.lease_timeout
-    )
+    report = shard_status_report(args.directory)
     print(report.text())
-    # The ambient hard watermark degrades status like an expired lease
+    # The ambient hard watermark degrades status like a dead lock holder
     # would: a campaign under it cannot durably make progress.
     disk_reasons = []
     watermarks = watermarks_from_env()

@@ -8,8 +8,8 @@ serve loop ticks the scheduler, which stays the single writer of job
 records.
 
 The serve loop is event-driven. Between ticks it blocks in one
-:func:`multiprocessing.connection.wait` over a self-pipe and the
-running job runners' sentinels, with ``tick_interval`` as the timeout.
+:func:`repro.util.child.wait` over a :class:`~repro.util.child.SelfPipe`
+and the running job runners, with ``tick_interval`` as the timeout.
 An accepted submit or cancel (through the API's ``wake`` hook) and
 :meth:`ServiceDaemon.request_stop` write to the pipe, and a runner's
 exit makes its sentinel ready, so the loop claims, cancels, reaps or
@@ -48,12 +48,10 @@ from __future__ import annotations
 
 import json
 import signal
-import socket
 import threading
 import time
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any
 from urllib.parse import parse_qs, urlparse
@@ -64,6 +62,7 @@ from repro.service.jobstore import JobStore
 from repro.service.retention import RetentionPolicy, gc
 from repro.service.scheduler import JobScheduler, SchedulerConfig
 from repro.suite.fsck import fsck_directory
+from repro.util import child
 from repro.util.diskstat import STATE_OK
 
 
@@ -162,10 +161,8 @@ class ServiceDaemon:
         self.store = JobStore(root)
         self.store.ensure_layout()
         self.policy = policy or AdmissionPolicy()
-        # The self-pipe: a byte written here ends the serve loop's wait.
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._wake_w.setblocking(False)
+        # A byte written here ends the serve loop's wait.
+        self._wake = child.SelfPipe()
         self.api = ServiceAPI(self.store, self.policy, wake=self.wake)
         self.scheduler = JobScheduler(self.store, scheduler_config)
         self.tick_interval = tick_interval
@@ -214,10 +211,7 @@ class ServiceDaemon:
 
     def wake(self) -> None:
         """End the serve loop's wait so it ticks now (any thread, signals)."""
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:  # full: a wake is already pending; closed: stopped
-            pass
+        self._wake.wake()
 
     def request_stop(self, *_sig: object) -> None:
         self._stop.set()
@@ -293,18 +287,12 @@ class ServiceDaemon:
 
     def _sleep(self) -> None:
         """Wait for a wake, a job runner's exit or ``tick_interval``."""
-        ready = wait(
-            [self._wake_r, *self.scheduler.sentinels()], self.tick_interval
-        )
-        if self._wake_r in ready:
-            try:
-                while self._wake_r.recv(4096):
-                    pass
-            except OSError:  # drained
-                pass
+        if self._wake in child.wait(
+            self.scheduler.children(), self._wake, timeout=self.tick_interval
+        ):
+            self._wake.clear()
 
     def close(self) -> None:
         """Release sockets without the serve loop (tests, failed starts)."""
         self.httpd.server_close()
-        self._wake_r.close()
-        self._wake_w.close()
+        self._wake.close()

@@ -8,14 +8,15 @@ two schedulers pointed at one root cannot both run a job, and a
 scheduler that dies leaves a lease any successor can take over exactly
 once.
 
-Each claimed job runs as a **forked child process** executing an
-ordinary campaign into ``campaigns/<job_id>/``; all the campaign-level
-crash safety (durable manifest checkpoints, archive seals, fsck) is
-inherited rather than reimplemented. The fork is warm: on its first
+Each claimed job runs as a **forked child process** (a
+:func:`repro.util.child.spawn` child) executing an ordinary campaign
+into ``campaigns/<job_id>/``; all the campaign-level crash safety
+(durable manifest checkpoints, archive seals, fsck) is inherited
+rather than reimplemented. The fork is warm: on its first
 claim the scheduler imports every kernel and the modules a campaign
 imports lazily (:data:`WARM_MODULES`), once, and each job runner
 inherits them copy-on-write. A warm-up that raises only warns, and the
-runners import on their own. :meth:`JobScheduler.sentinels` lets a
+runners import on their own. :meth:`JobScheduler.children` lets a
 caller block until a runner exits instead of polling. The scheduler
 heartbeats job progress by reading the child's campaign manifest,
 applies cancel markers (reading only the records they name), and
@@ -34,25 +35,20 @@ reaps exits:
 dead RUNNING leases, heal. ``drain()`` is the graceful-shutdown path:
 stop every child and requeue its job so a restarted daemon resumes it.
 
-The child guards against the inverse failure — a scheduler that dies
-*under* its jobs — with an orphan watch: when the child is re-parented
-it exits with the distinct ``JOB_ORPHANED`` status instead of running
-on as unaccounted work.
+The inverse failure — a scheduler that dies *under* its jobs — is EOF
+on the runner's end of its pipe: the runner exits with the distinct
+``JOB_ORPHANED`` status instead of running on as unaccounted work.
 """
 
 from __future__ import annotations
 
 import importlib
-import multiprocessing
 import os
-import signal
 import sys
-import threading
 import time
 import traceback
 import warnings
 from dataclasses import dataclass
-from multiprocessing.connection import wait
 from typing import Any
 
 from repro.cli import exitcodes
@@ -72,6 +68,7 @@ from repro.service.jobstore import (
 from repro.suite import registry
 from repro.suite.errors import CampaignLockedError
 from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
+from repro.util import child
 from repro.util.diskstat import STATE_HARD, DiskWatermarks
 
 #: modules a campaign otherwise imports lazily on its first cell; the
@@ -107,7 +104,7 @@ class JobScheduler:
     def __init__(self, store: JobStore, config: SchedulerConfig | None = None):
         self.store = store
         self.config = config or SchedulerConfig()
-        self._children: dict[str, multiprocessing.process.BaseProcess] = {}
+        self._children: dict[str, child.Child] = {}
         self._leases: dict[str, Any] = {}  # job_id -> held CampaignLock
         self._retry_at: dict[str, float] = {}  # job_id -> monotonic deadline
         self._totals: dict[str, int] = {}  # job_id -> campaign cell count
@@ -189,9 +186,10 @@ class JobScheduler:
             self._claim_next()
 
     def _reap(self) -> None:
-        for job_id, child in list(self._children.items()):
-            if child.is_alive():
+        for job_id, runner in list(self._children.items()):
+            if runner.is_alive():
                 continue
+            runner.hang_up()
             del self._children[job_id]
             lease = self._leases.pop(job_id, None)
             try:
@@ -199,7 +197,7 @@ class JobScheduler:
                 if record is None or record.state != STATE_RUNNING:
                     continue  # damaged record: fsck's problem, not ours
                 self._record_progress(record, force=True)
-                code = child.exitcode
+                code = runner.exitcode
                 if code == exitcodes.OK:
                     record.transition(STATE_SUCCEEDED, reason="")
                     self.store.save(record)
@@ -353,18 +351,16 @@ class JobScheduler:
                 lease.release()
                 raise
             self._warm()
-            child = multiprocessing.get_context("fork").Process(
-                target=_job_main,
-                args=(
-                    record.spec,
-                    str(self.store.campaign_dir(record.job_id)),
-                    record.resume,
-                    os.getpid(),
-                ),
+            self._children[record.job_id] = child.spawn(
+                _job_main,
+                record.spec,
+                str(self.store.campaign_dir(record.job_id)),
+                record.resume,
                 name=f"job-runner-{record.job_id}",
+                # Not a daemon: a job with --workers forks its own pool.
+                daemon=False,
+                orphan_exit=exitcodes.JOB_ORPHANED,
             )
-            child.start()
-            self._children[record.job_id] = child
             self._leases[record.job_id] = lease
 
     def _warm(self) -> None:
@@ -390,9 +386,9 @@ class JobScheduler:
             )
 
     # ----------------------------------------------------------------- loop
-    def sentinels(self) -> list[int]:
-        """The running children's sentinels: each turns ready on exit."""
-        return [child.sentinel for child in self._children.values()]
+    def children(self) -> list[child.Child]:
+        """The running job runners (for :func:`repro.util.child.wait`)."""
+        return list(self._children.values())
 
     def run_until_idle(self, timeout: float = 300.0, poll: float = 0.05) -> bool:
         """Tick until every job is terminal (True) or ``timeout`` (False).
@@ -409,7 +405,7 @@ class JobScheduler:
                 return True
             if time.monotonic() >= deadline:
                 return False
-            wait(self.sentinels(), poll)
+            child.wait(self.children(), timeout=poll)
 
     # ---------------------------------------------------------------- drain
     def drain(self) -> list[str]:
@@ -422,15 +418,11 @@ class JobScheduler:
         """
         self._draining = True
         drained = []
-        for job_id, child in list(self._children.items()):
+        for job_id, runner in list(self._children.items()):
             fault_point(
                 "service.mid-drain", path=self.store.record_path(job_id)
             )
-            child.terminate()
-            child.join(self.config.child_grace)
-            if child.is_alive():  # pragma: no cover - stuck child
-                child.kill()
-                child.join(self.config.child_grace)
+            child.kill(runner, grace=self.config.child_grace)
             del self._children[job_id]
             lease = self._leases.pop(job_id, None)
             try:
@@ -454,43 +446,15 @@ class JobScheduler:
 
 
 # ------------------------------------------------------------ the job child
-class _OrphanWatch(threading.Thread):
-    """Exit ``JOB_ORPHANED`` the moment our scheduler stops being our parent.
-
-    A forked job runner whose scheduler dies is re-parented (to init or
-    a subreaper). Running on would produce campaign work no record
-    accounts for; dying with a distinct status keeps the ledger honest
-    and gives the healed, resumed job a clean directory takeover.
-    """
-
-    def __init__(self, scheduler_pid: int, poll: float = 0.2) -> None:
-        super().__init__(name="job-orphan-watch", daemon=True)
-        self.scheduler_pid = scheduler_pid
-        self.poll = poll
-
-    def run(self) -> None:  # pragma: no cover - exercised via subprocess
-        while True:
-            if os.getppid() != self.scheduler_pid:
-                os._exit(exitcodes.JOB_ORPHANED)
-            time.sleep(self.poll)
-
-
-def _job_main(
-    spec: dict[str, Any], campaign_dir: str, resume: bool, scheduler_pid: int
-) -> None:
+def _job_main(spec: dict[str, Any], campaign_dir: str, resume: bool) -> None:
     """Entry point of the forked job runner: one ordinary campaign.
 
-    Exits with the same statuses the CLI ``run`` command uses, plus
-    ``JOB_ORPHANED`` when the scheduler disappears; the scheduler maps
-    the status back onto the job state machine.
+    Exits with the same statuses the CLI ``run`` command uses; the spawn
+    bootstrap adds ``JOB_ORPHANED`` for a scheduler that disappears. The
+    scheduler maps the status back onto the job state machine.
     """
     from repro.suite.executor import SuiteExecutor
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # The fork copies the daemon's Python SIGTERM handler (request_stop);
-    # a runner must die on terminate(), or cancel and drain wait it out.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _OrphanWatch(scheduler_pid).start()
     try:
         params = params_from_spec(spec, campaign_dir, resume=resume)
         result = SuiteExecutor(params).run(write_files=True)

@@ -13,7 +13,7 @@ campaign-level state and nothing else:
 
       assigned -> running -> settled (exit 0)
                     |
-                    +-- abnormal exit / stale lease
+                    +-- abnormal exit / missed beats
                     |        fsck shard dir, respawn with --resume
                     |        (bounded by the campaign RetryPolicy)
                     |        ... budget exhausted -> RETIRED
@@ -47,9 +47,6 @@ invariant I5).
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
-import signal
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -57,23 +54,17 @@ from pathlib import Path
 from typing import Any
 
 from repro.caliper.calipack import ARCHIVE_NAME, member_ref, merge_shards, split_member_ref
-from repro.cli.exitcodes import CAMPAIGN_LOCKED
+from repro.cli.exitcodes import CAMPAIGN_LOCKED, SHARD_ORPHANED
 from repro.faults import fault_point
 from repro.suite.executor import ModelPlan
+from repro.suite.heartbeat import HeartbeatMonitor
 from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
 from repro.suite.report import STATUS_FAILED, STATUS_OK, KernelRunRecord
 from repro.suite.run_params import RunParams
 from repro.suite.session import CampaignSession
-from repro.suite.shard import (
-    SHARD_DIR,
-    lease_age,
-    read_lease,
-    shard_dir_name,
-    shard_main,
-    shard_path,
-)
-from repro.suite.supervisor import _install_signal_handlers, _kill, _mp_context
+from repro.suite.shard import SHARD_DIR, shard_dir_name, shard_main, shard_path
 from repro.suite.worker import CellTask
+from repro.util import child
 from repro.util.fsio import back_up, write_durable_text
 
 MAP_NAME = "shard_map.json"
@@ -83,13 +74,10 @@ MAP_VERSION = 1
 STRATEGY_ROUND_ROBIN = "round_robin"
 STRATEGY_LPT = "lpt"
 
-#: bounded retries when a shard exits CAMPAIGN_LOCKED (a predecessor's
-#: orphan poll has not fired yet); not charged to the respawn budget
+#: bounded retries when a shard exits CAMPAIGN_LOCKED (a predecessor
+#: not yet gone); not charged to the respawn budget
 LOCK_RETRY_LIMIT = 50
 LOCK_RETRY_DELAY_S = 0.2
-
-#: coordinator supervision loop cadence
-_POLL_S = 0.05
 
 
 # -------------------------------------------------------------- shard map
@@ -211,8 +199,7 @@ class _ShardHandle:
 
     index: int
     keys: list[str]
-    process: multiprocessing.Process | None = None
-    spawned_at: float = 0.0
+    process: child.Child | None = None
     attempt: int = 1  # crash respawns charged against the retry budget
     lock_retries: int = 0
     ready_at: float = 0.0  # earliest monotonic (re)spawn time
@@ -237,11 +224,14 @@ class ShardCoordinator:
         self.params = params
         #: filled by the LPT cut's cost model; shards inherit it on fork
         self.model_plan = model_plan if model_plan is not None else ModelPlan()
-        self._ctx = _mp_context()
         self._shutdown = False
+        #: ends the healing loop's wait on SIGINT/SIGTERM (while it runs)
+        self._wake: child.SelfPipe | None = None
 
     def _on_signal(self, signum, frame) -> None:
         self._shutdown = True
+        if self._wake is not None:
+            self._wake.wake()
 
     # ------------------------------------------------------------------ run
     def run(self, cells, write_files: bool = True):
@@ -254,7 +244,6 @@ class ShardCoordinator:
         out_dir = Path(self.params.output_dir)
         session = CampaignSession(self.params, write_files).open()
         handles: dict[int, _ShardHandle] = {}
-        previous_handlers = _install_signal_handlers(self._on_signal)
         try:
             cells_by_key = {cell.key: cell for cell in cells}
             pending = [cell.key for cell in session.pending(cells)]
@@ -273,10 +262,6 @@ class ShardCoordinator:
             self._merge(out_dir, shard_map, handles)
             self._compose(session, cells_by_key, pending, handles)
         finally:
-            for sig, handler in previous_handlers:
-                signal.signal(sig, handler)
-            for handle in handles.values():
-                _kill(handle.process)
             session.close()
         # Every file the campaign holds, resumed cells' included.
         session.paths.extend(
@@ -364,64 +349,86 @@ class ShardCoordinator:
             CellTask.of(cells_by_key[k]) for k in handle.keys if k in cells_by_key
         ]
         resume = handle.resume or params.resume
-        handle.process = self._ctx.Process(
-            target=shard_main,
-            args=(
-                handle.index, params, tasks, write_files, resume, os.getpid(),
-                self.model_plan,
-            ),
+        handle.process = child.spawn(
+            shard_main, handle.index, params, tasks, write_files, resume,
+            child.PIPE, self.model_plan,
             name=f"campaign-shard-{handle.index}",
             # Not a daemon: a shard may spawn its own worker pool, and
             # daemonic processes cannot have children.
             daemon=False,
+            orphan_exit=SHARD_ORPHANED,
         )
-        handle.process.start()
-        handle.spawned_at = time.monotonic()
         handle.dirty = False
 
     def _supervise(self, handles, shard_map, cells_by_key, write_files) -> None:
-        """The healing loop: reap, respawn, retire, reassign."""
+        """Run the healing loop; no shard outlives it (an interrupted
+        run's shards are stopped before the merge reads their archives)."""
+        self._wake = child.SelfPipe()
+        try:
+            with child.signals_to(self._on_signal):
+                self._heal_loop(handles, shard_map, cells_by_key, write_files)
+        finally:
+            for handle in handles.values():
+                child.kill(handle.process)
+            self._wake.close()
+            self._wake = None
+
+    def _heal_loop(self, handles, shard_map, cells_by_key, write_files) -> None:
+        """The healing loop: reap, respawn, retire, reassign.
+
+        One wait per pass over the running shards' pipes (beats, EOF)
+        and sentinels plus the self-pipe, until the next (re)spawn is
+        due or a shard's beat deadline passes.
+        """
         params = self.params
+        monitor = HeartbeatMonitor(params.shard_lease_timeout)
 
         while not self._shutdown:
             now = time.monotonic()
             active = [h for h in handles.values() if h.active]
             if not active:
                 return
+            deadlines = []
             for handle in active:
+                if handle.process is None:
+                    if now < handle.ready_at:
+                        deadlines.append(handle.ready_at)
+                        continue
+                    self._spawn(handle, cells_by_key, write_files)
+                    monitor.register(handle.index)
+                deadlines.append(
+                    monitor.last_seen(handle.index) + params.shard_lease_timeout
+                )
+            running = [h for h in active if h.process is not None]
+            if self._wake in child.wait(
+                [h.process for h in running], self._wake,
+                timeout=max(min(deadlines) - now, 0.0),
+            ):
+                self._wake.clear()
+            for handle in running:
+                for _ in child.drain(handle.process):
+                    monitor.beat(handle.index)  # every message is a beat
                 process = handle.process
-                if process is None:
-                    if now >= handle.ready_at:
-                        self._spawn(handle, cells_by_key, write_files)
-                    continue
                 if not process.is_alive():
-                    process.join(timeout=0.5)
                     code = process.exitcode
+                    process.hang_up()
                     handle.process = None
+                    monitor.forget(handle.index)
                     # Reaped but not yet acted on: a coordinator killed
                     # here must re-derive the shard's fate on resume.
                     fault_point("shard.post-shard-exit", path=shard_map.path)
                     self._reap(handle, code, handles, shard_map)
-                elif self._stale(handle, now):
-                    _kill(process)
+                elif monitor.is_stale(handle.index):
+                    child.kill(process)
                     handle.process = None
+                    monitor.forget(handle.index)
                     self._heal(
                         handle,
-                        f"shard missed lease deadline "
+                        f"shard missed beat deadline "
                         f"({params.shard_lease_timeout:.3g}s)",
                         handles,
                         shard_map,
                     )
-            time.sleep(_POLL_S)
-
-    def _stale(self, handle: _ShardHandle, now: float) -> bool:
-        """A live process whose lease stopped refreshing is wedged."""
-        lease = read_lease(shard_path(self.params.output_dir, handle.index))
-        age = lease_age(lease)
-        if age is None:
-            # No lease yet: measure from the spawn instead.
-            age = now - handle.spawned_at
-        return age > self.params.shard_lease_timeout
 
     def _reap(self, handle, code, handles, shard_map) -> None:
         if code == 0:
@@ -641,11 +648,12 @@ class ShardStatusReport:
     """Machine-checkable status of a sharded campaign directory.
 
     ``degraded`` is the operator signal the CLI turns into exit code 4:
-    some shard still owes cells but nothing live is working on them (its
-    lease is missing, expired past the timeout, or held by a dead PID),
-    or the shard map itself is inconsistent (duplicate cell ownership,
-    entries referencing shards outside the partition). A *completed*
-    campaign with dead leases is healthy — there is no pending work the
+    some shard still owes cells but nothing live is working on them (no
+    live process holds the shard's campaign lock, nor the campaign's —
+    a live coordinator between respawns still owns the work), or the
+    shard map itself is inconsistent (duplicate cell ownership, entries
+    referencing shards outside the partition). A *completed* campaign
+    with dead lock holders is healthy — there is no pending work the
     dead shard is sitting on.
     """
 
@@ -764,11 +772,9 @@ def _campaign_cost_model(out_dir: Path):
     return CellCostModel(params, measured=measured)
 
 
-def shard_status_report(
-    output_dir: str | Path, lease_timeout: float = 30.0
-) -> ShardStatusReport:
+def shard_status_report(output_dir: str | Path) -> ShardStatusReport:
     """Audit a sharded campaign's progress, liveness, and map coherence."""
-    from repro.suite.manifest import _pid_alive
+    from repro.suite.manifest import campaign_is_live
     from repro.suite.shard import shard_progress
 
     out_dir = Path(output_dir)
@@ -782,6 +788,7 @@ def shard_status_report(
     report.archive_present = (out_dir / ARCHIVE_NAME).exists()
     report.strategy = shard_map.strategy
     costs = _campaign_cost_model(out_dir)
+    coordinator_live = campaign_is_live(out_dir)
 
     # Map coherence, independent of per-shard liveness.
     known = {shard_dir_name(i) for i in range(shard_map.shards)}
@@ -827,32 +834,26 @@ def shard_status_report(
                 else None
             ),
         )
-        lease = read_lease(shard_path(out_dir, index))
-        age = lease_age(lease)
-        holder = lease.get("pid") if lease is not None else None
         if index in shard_map.retired:
             line.state = "retired"
-        elif holder is not None and age is not None:
-            if age > lease_timeout:
-                line.state = "lease expired"
-            else:
-                line.state = f"lease pid {holder} ({age:.1f}s ago)"
+        elif progress.live:
+            line.state = f"running (pid {progress.lock_pid})"
+        elif progress.lock_pid is not None:
+            line.state = f"lock holder pid {progress.lock_pid} dead"
         else:
-            line.state = "no lease"
+            line.state = "not running"
         # Degradation: pending work nobody live is doing.
-        if index not in shard_map.retired and line.pending > 0:
-            if lease is None:
-                line.reason = f"{line.pending} cell(s) pending, no lease"
-            elif age is not None and age > lease_timeout:
-                line.reason = (
-                    f"{line.pending} cell(s) pending, lease expired "
-                    f"({age:.1f}s > {lease_timeout:.3g}s)"
-                )
-            elif not _pid_alive(holder):
-                line.reason = (
-                    f"{line.pending} cell(s) pending, "
-                    f"lease holder pid {holder} is dead"
-                )
+        if (
+            index not in shard_map.retired
+            and line.pending > 0
+            and not progress.live
+            and not coordinator_live
+        ):
+            line.reason = f"{line.pending} cell(s) pending, " + (
+                f"lock holder pid {progress.lock_pid} is dead"
+                if progress.lock_pid is not None
+                else "no live lock holder"
+            )
         report.lines.append(line)
     return report
 

@@ -85,6 +85,7 @@ from repro.suite.manifest import (
     MANIFEST_NAME,
     CampaignManifest,
     _pid_alive,
+    campaign_is_live,
 )
 from repro.util.fsio import TMP_GLOB, back_up, durable_replace, tmp_sibling
 
@@ -289,17 +290,6 @@ def fsck_directory(
     return _finish(report, manifest, mark_rerun)
 
 
-def _campaign_is_live(directory: Path) -> bool:
-    """Whether a live campaign holds this directory's lock."""
-    lock = directory / LOCK_NAME
-    try:
-        holder = json.loads(lock.read_text())
-    except (OSError, ValueError):
-        return False
-    pid = holder.get("pid") if isinstance(holder, dict) else None
-    return _pid_alive(pid) and pid != os.getpid()
-
-
 def _sweep_orphan_tmps(directory: Path, report: FsckReport) -> None:
     """Delete tmp siblings orphaned by a crash mid-durable-write.
 
@@ -325,7 +315,7 @@ def _sweep_orphan_tmps(directory: Path, report: FsckReport) -> None:
         for tmp in sorted(jobs.glob(TMP_GLOB)):
             if not _pid_alive(_tmp_writer_pid(tmp)):
                 _remove_tmp(tmp, report)
-    if _campaign_is_live(directory):
+    if campaign_is_live(directory):
         return
     roots = [
         directory,
@@ -443,7 +433,7 @@ def _fsck_shards(
                         "is not in the shard map"
                     )
                 continue
-            if _campaign_is_live(shard_dir):
+            if campaign_is_live(shard_dir):
                 report.notes.append(
                     f"shard {shard_dir.name} is live; sub-pass skipped"
                 )
@@ -452,7 +442,7 @@ def _fsck_shards(
                 fsck_directory(shard_dir, quarantine, mark_rerun)
             )
 
-    if quarantine and not _campaign_is_live(directory):
+    if quarantine and not campaign_is_live(directory):
         scratch = directory / ".merge-scratch"
         if scratch.is_dir():
             # Left by older versions' merge tree: the intermediates are
@@ -648,7 +638,7 @@ def _fsck_jobs(
             # A live lease holder (this process too, when it is the
             # daemon) may fork the runner that takes the campaign lock
             # at any moment: the directory is live from the claim on.
-            if campaign.name in leased or _campaign_is_live(campaign):
+            if campaign.name in leased or campaign_is_live(campaign):
                 report.notes.append(
                     f"job campaign {campaign.name} is live; "
                     "sub-pass skipped"

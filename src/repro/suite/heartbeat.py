@@ -14,7 +14,8 @@ older than the deadline.
 The emitter beats even while the worker's main thread is busy in a
 kernel, so a long cell is not mistaken for a hang — only a genuinely
 wedged or suspended process (or one whose ``STALE_HEARTBEAT`` fault
-suppressed the emitter) goes stale.
+suppressed the emitter) goes stale. Shards beat up their pipe to the
+shard coordinator through the same pair, keyed by shard index.
 """
 
 from __future__ import annotations

@@ -67,7 +67,11 @@ LOCK_NAME = "campaign_manifest.lock"
 
 
 def _pid_alive(pid: Any) -> bool:
-    """Whether ``pid`` names a live process we could signal."""
+    """Whether ``pid`` names a live process we could signal.
+
+    A zombie (exited, not yet reaped — an orphan whose new parent never
+    waits, say) is dead: it holds nothing and can do nothing.
+    """
     if not isinstance(pid, int) or pid <= 0:
         return False
     try:
@@ -75,10 +79,33 @@ def _pid_alive(pid: Any) -> bool:
     except ProcessLookupError:
         return False
     except PermissionError:  # alive, owned by someone else
-        return True
+        pass
     except OSError:  # pragma: no cover - exotic platforms
         return False
-    return True
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:  # no procfs: the signal probe is all we have
+        return True
+    return stat.rpartition(")")[2].split()[:1] != ["Z"]
+
+
+def lock_holder(directory: str | Path) -> int | None:
+    """The pid recorded in a campaign directory's lock (None: no lock,
+    or an unreadable one)."""
+    try:
+        holder = json.loads((Path(directory) / LOCK_NAME).read_text())
+    except (OSError, ValueError):
+        return None
+    pid = holder.get("pid") if isinstance(holder, dict) else None
+    return pid if isinstance(pid, int) else None
+
+
+def campaign_is_live(directory: str | Path) -> bool:
+    """Whether a live campaign other than this process holds the
+    directory's lock: the one liveness test for campaign directories
+    (fsck, ``shard-status``, the chaos harness)."""
+    pid = lock_holder(directory)
+    return _pid_alive(pid) and pid != os.getpid()
 
 
 @dataclass

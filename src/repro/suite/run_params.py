@@ -77,7 +77,7 @@ class RunParams:
     heartbeat_interval: float | None = None  # emit cadence (default timeout/5)
     # --- sharded scale-out execution (see coordinator.py) ---
     shards: int = 0  # >0 partitions cells across shard supervisors
-    shard_lease_timeout: float = 30.0  # seconds without a lease refresh = stale
+    shard_lease_timeout: float = 30.0  # seconds without a shard beat = stale
     # --- cost-model scheduling (see costmodel.py / schedule.py) ---
     schedule: str = "lpt"  # "lpt" orders/packs by estimated cost; "fifo" = seed order
     batch_cells: str | int = "auto"  # cells per dispatch message ("auto" or >= 1)

@@ -32,10 +32,11 @@ Supervision model (the worker lifecycle state machine):
   (wedged I/O, a hung driver, a ``hang`` fault at ``worker.pre-cell``).
   Detected by the :class:`HeartbeatMonitor` deadline; the worker is
   killed and handled exactly like a dead one.
-* **Graceful shutdown**: SIGINT/SIGTERM flip a drain flag — no new
-  cells are dispatched, in-flight cells finish and are recorded, the
-  manifest is flushed, workers get poison pills, and the run returns
-  with ``report.interrupted`` so ``--resume`` can finish the job.
+* **Graceful shutdown**: SIGINT/SIGTERM flip a drain flag and end the
+  loop's wait through its self-pipe — no new cells are dispatched,
+  in-flight cells finish and are recorded, the manifest is flushed,
+  workers get poison pills, and the run returns with
+  ``report.interrupted`` so ``--resume`` can finish the job.
 
 Workers inherit the installed :class:`~repro.faults.FaultPlan` by fork
 (a spawned worker adopts ``$REPRO_FAULTS``); the supervisor hands them
@@ -50,20 +51,23 @@ Scheduling (PR 10): pending cells are ordered longest-first by the
 lpt``; ``fifo`` preserves sweep order), small cells coalesce into
 :class:`~repro.suite.worker.CellBatch` dispatch messages that shrink
 toward single cells as the tail drains (``--batch-cells``), and the
-loop blocks in one ``multiprocessing.connection.wait`` over the workers'
-pipes and process sentinels — it wakes O(events), not O(elapsed/50ms).
+loop blocks in one :func:`repro.util.child.wait` over the workers'
+pipes, their process sentinels and its self-pipe — it wakes O(events),
+not O(elapsed/50ms).
 None of it changes what a campaign produces: results are keyed by cell
 and the packed archive is canonicalized, so outputs are byte-identical
 across every knob setting.
 
-Transport: each worker owns one private duplex ``Pipe``. Cells and the
-poison pill go down it; heartbeats and each
-:class:`~repro.suite.session.CellOutcome`, profile included, come back
-as one pickle apiece (unpickling a region tree costs the supervisor less
-than re-parsing the profile's sealed ``.cali`` bytes would). Every
+Transport: each worker is a :func:`repro.util.child.spawn` child with
+one private duplex pipe. Cells and the poison pill go down it;
+heartbeats and each :class:`~repro.suite.session.CellOutcome`, profile
+included, come back as one pickle apiece (unpickling a region tree
+costs the supervisor less than re-parsing the profile's sealed ``.cali``
+bytes would). Every
 message read is stamped as a beat. Nothing is shared between workers —
 no queue, no cross-process lock, no feeder thread — so a worker killed
-mid-send breaks its own pipe and no other worker's results.
+mid-send breaks its own pipe and no other worker's results, and a
+supervisor killed outright is EOF in every worker's blocking ``recv``.
 The cost-model pass also fills the campaign's
 :class:`~repro.suite.executor.ModelPlan`, which every worker inherits, so
 workers replay model output instead of evaluating the machine model.
@@ -71,14 +75,10 @@ workers replay model output instead of evaluating the machine model.
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
-import threading
 import time
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
 
 from repro.suite.costmodel import CellCostModel
 from repro.suite.executor import ModelPlan
@@ -94,52 +94,7 @@ from repro.suite.report import STATUS_FAILED, STATUS_RETRIED, KernelRunRecord
 from repro.suite.run_params import RunParams
 from repro.suite.session import CampaignSession, CellOutcome
 from repro.suite.worker import CellBatch, CellTask, worker_main
-
-
-def _mp_context():
-    """Prefer fork (cheap, Linux default); fall back to spawn."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platform
-        return multiprocessing.get_context("spawn")
-
-
-def _install_signal_handlers(on_signal):
-    """Route SIGINT/SIGTERM to a drain flag (main thread only).
-
-    Returns the ``(signal, previous handler)`` pairs to restore.
-    """
-    if threading.current_thread() is not threading.main_thread():
-        return []
-    previous = []
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous.append((sig, signal.signal(sig, on_signal)))
-        except (ValueError, OSError):  # pragma: no cover
-            pass
-    return previous
-
-
-def _drain(conn):
-    """Yield every message waiting on ``conn``; close it once it breaks
-    (EOF, or a message torn by its writer's death)."""
-    try:
-        while conn.poll():  # OSError once closed
-            yield conn.recv()
-    except (EOFError, OSError):
-        conn.close()
-
-
-def _kill(process) -> None:
-    """Terminate a child process, escalating to SIGKILL (None: no-op)."""
-    if process is None:
-        return
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=2.0)
-    if process.is_alive():  # pragma: no cover - SIGTERM ignored
-        process.kill()
-        process.join(timeout=2.0)
+from repro.util import child
 
 
 @dataclass
@@ -147,10 +102,10 @@ class _WorkerHandle:
     """Supervisor-side view of one worker process."""
 
     worker_id: int
-    process: multiprocessing.Process
-    #: the supervisor's end of the worker's private pipe; closed once it
-    #: breaks (EOF, a torn message), after which the worker is dead to us
-    conn: object
+    #: the worker process; its ``conn`` (the supervisor's end of its
+    #: pipe) is closed once it breaks (EOF, a torn message), after which
+    #: the worker is dead to us
+    process: child.Child
     #: in-flight cells, dispatch order. Workers execute and report in
     #: order, so after a death tasks[0] is the one that was running.
     tasks: deque = field(default_factory=deque)
@@ -180,10 +135,8 @@ class CampaignSupervisor:
     DRAIN_GRACE_FACTOR = 2.0
 
     #: longest the event wait sleeps with nothing to wake it (a worker's
-    #: first heartbeat after a long cell, say); 0.05 while draining so a
-    #: shutdown stays as responsive as the seed loop
+    #: first heartbeat after a long cell, say)
     MAX_WAIT_S = 0.5
-    DRAIN_WAIT_S = 0.05
 
     def __init__(
         self,
@@ -199,7 +152,8 @@ class CampaignSupervisor:
         #: worker forks, so workers inherit every entry warm
         self.model_plan = model_plan if model_plan is not None else ModelPlan()
         self._shutdown = False
-        self._ctx = _mp_context()
+        #: ends the loop's wait on SIGINT/SIGTERM (exists while it runs)
+        self._wake: child.SelfPipe | None = None
         self._next_worker_id = 0
         #: loop telemetry (asserted by tests: the loop is O(events), not
         #: O(elapsed / poll interval))
@@ -208,25 +162,20 @@ class CampaignSupervisor:
 
     def _on_signal(self, signum, frame) -> None:
         self._shutdown = True
+        if self._wake is not None:
+            self._wake.wake()
 
     # -------------------------------------------------------------- workers
     def _spawn_worker(self, write_files: bool,
                       monitor: HeartbeatMonitor) -> _WorkerHandle:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, self.params, child_conn, write_files, self.model_plan),
-            name=f"campaign-worker-{worker_id}",
-            daemon=True,
+        process = child.spawn(
+            worker_main, worker_id, self.params, child.PIPE, write_files,
+            self.model_plan, name=f"campaign-worker-{worker_id}",
         )
-        process.start()
-        # Only the worker may hold its end: then its death reads as EOF
-        # on this pipe, and workers forked later never inherit it.
-        child_conn.close()
         monitor.register(worker_id)
-        return _WorkerHandle(worker_id, process, conn)
+        return _WorkerHandle(worker_id, process)
 
     # ------------------------------------------------------------------ run
     def run(self, cells, write_files: bool = False):
@@ -242,7 +191,8 @@ class CampaignSupervisor:
                 # drained, which is what strands a FIFO campaign's tail.
                 pending = order_lpt(pending, costs.cost_of_task)
             if pending:
-                self._run_pool(pending, costs, session, write_files)
+                with child.signals_to(self._on_signal):
+                    self._run_pool(pending, costs, session, write_files)
             session.finalize()
         finally:
             session.close()
@@ -272,7 +222,7 @@ class CampaignSupervisor:
             """
             nonlocal remaining_cost
             monitor.forget(handle.worker_id)
-            handle.conn.close()
+            handle.process.hang_up()
             workers.pop(handle.worker_id, None)
             tasks = list(handle.tasks)
             if not tasks or self._shutdown:
@@ -304,7 +254,7 @@ class CampaignSupervisor:
             """How long the event wait may sleep: until the next thing
             the loop itself must initiate (a backoff expiry when a worker
             sits idle, a stale verdict, the drain deadline)."""
-            timeout = self.DRAIN_WAIT_S if self._shutdown else self.MAX_WAIT_S
+            timeout = self.MAX_WAIT_S
             if queue and any(not h.busy for h in workers.values()):
                 next_ready = queue.next_ready_at()
                 if next_ready is not None:
@@ -321,7 +271,7 @@ class CampaignSupervisor:
                 timeout = min(timeout, max(drain_deadline - now, 0.0))
             return max(timeout, 0.01)
 
-        previous_handlers = _install_signal_handlers(self._on_signal)
+        wake = self._wake = child.SelfPipe()
         try:
             for _ in range(min(params.workers, len(queue))):
                 handle = self._spawn_worker(write_files, monitor)
@@ -344,7 +294,8 @@ class CampaignSupervisor:
 
                 # Dispatch: a batch of ready cells per idle worker.
                 for handle in workers.values():
-                    if handle.busy or handle.conn.closed or not queue:
+                    conn = handle.process.conn
+                    if handle.busy or conn.closed or not queue:
                         continue
                     batch = plan_batch(
                         queue, now, costs.cost_of_task, remaining_cost,
@@ -356,22 +307,22 @@ class CampaignSupervisor:
                     handle.tasks.extend(batch)
                     monitor.beat(handle.worker_id)  # dispatch restarts the clock
                     try:
-                        handle.conn.send(
+                        conn.send(
                             batch[0] if len(batch) == 1 else CellBatch(tuple(batch))
                         )
                     except OSError:  # the worker is gone: liveness requeues
-                        handle.conn.close()
+                        handle.process.hang_up()
 
                 # One blocking wait for anything that needs the loop:
                 # a message on a worker's pipe, a worker death (EOF on
-                # its pipe, its sentinel), or a deadline the supervisor
-                # must act on. O(events) wakeups — an idle supervisor
-                # sleeps, it does not poll.
-                wait(
-                    [h.conn for h in workers.values() if not h.conn.closed]
-                    + [h.process.sentinel for h in workers.values()],
-                    wait_timeout(now),
-                )
+                # its pipe, its sentinel), a signal, or a deadline the
+                # supervisor must act on. O(events) wakeups — an idle
+                # supervisor sleeps, it does not poll.
+                if wake in child.wait(
+                    [h.process for h in workers.values()], wake,
+                    timeout=wait_timeout(now),
+                ):
+                    wake.clear()
                 # Exits seen before the drain: their last messages are
                 # already in their pipes, so none is lost to the verdict.
                 exited = {
@@ -384,7 +335,7 @@ class CampaignSupervisor:
                 # verdicts.
                 got_result = False
                 for handle in list(workers.values()):
-                    for message in _drain(handle.conn):
+                    for message in child.drain(handle.process):
                         monitor.beat(handle.worker_id)
                         if not isinstance(message, CellOutcome):
                             continue  # a heartbeat
@@ -400,14 +351,14 @@ class CampaignSupervisor:
                 # Liveness: loud deaths (the process exited or its pipe
                 # broke) first, then quiet (stale) ones.
                 for handle in list(workers.values()):
-                    if handle.conn.closed or handle.worker_id in exited:
-                        _kill(handle.process)  # a live one can no longer report
+                    if handle.process.conn.closed or handle.worker_id in exited:
+                        child.kill(handle.process)  # a live one can no longer report
                         code = handle.process.exitcode
                         handle_worker_death(
                             handle, f"worker process died (exit code {code})"
                         )
                     elif handle.busy and monitor.is_stale(handle.worker_id):
-                        _kill(handle.process)
+                        child.kill(handle.process)
                         handle_worker_death(
                             handle,
                             f"worker missed heartbeat deadline "
@@ -422,16 +373,14 @@ class CampaignSupervisor:
                     handle = self._spawn_worker(write_files, monitor)
                     workers[handle.worker_id] = handle
         finally:
-            for sig, handler in previous_handlers:
-                signal.signal(sig, handler)
+            self._wake = None
+            wake.close()
             for handle in workers.values():
                 try:
-                    handle.conn.send(None)  # poison pill
+                    handle.process.conn.send(None)  # poison pill
                 except OSError:  # its pipe is closed or broken
                     pass
             deadline = time.monotonic() + 2.0
             for handle in workers.values():
                 handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
-                if handle.process.is_alive():
-                    _kill(handle.process)
-                handle.conn.close()
+                child.kill(handle.process)

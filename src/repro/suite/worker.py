@@ -1,10 +1,12 @@
 """The supervised campaign worker: one process, one cell at a time.
 
-``worker_main`` is the entry point the supervisor spawns. Each worker
+``worker_main`` is the entry point the supervisor spawns through
+:func:`repro.util.child.spawn`, whose bootstrap ignores SIGINT (campaign
+shutdown is the supervisor's decision — the terminal's SIGINT goes to
+the whole foreground process group, and a worker that died on Ctrl-C
+would defeat the graceful drain) and leaves SIGTERM at its default, so
+a kill is immediate. Each worker
 
-* ignores SIGINT (campaign shutdown is the supervisor's decision — the
-  terminal's SIGINT goes to the whole foreground process group, and a
-  worker that died on Ctrl-C would defeat the graceful drain);
 * runs a daemon :class:`~repro.suite.heartbeat.HeartbeatEmitter` so the
   supervisor can tell "busy" from "wedged";
 * inherits the installed :class:`~repro.faults.FaultPlan` by fork (or
@@ -18,7 +20,8 @@
   included, as one pickle — interleaved with the emitter's beats. One
   lock serializes the two sending threads, so every message is whole
   unless the process dies mid-send, which the supervisor reads as this
-  worker's death alone.
+  worker's death alone. The worker blocks in ``recv`` between cells, so
+  a supervisor that dies outright is EOF there, and the worker ends.
 
 An ``exit`` fault at the ``worker.pre-cell`` site fires *before* the
 cell runs and calls ``os._exit`` with the worker-crash status — no
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -43,9 +45,6 @@ from repro.suite.report import STATUS_FAILED, KernelRunRecord, cell_key
 from repro.suite.run_params import RunParams
 from repro.suite.session import CellOutcome
 from repro.suite.variants import get_variant
-
-#: How often an idle worker re-checks that its supervisor still exists.
-_ORPHAN_POLL_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -123,11 +122,6 @@ def worker_main(
     """
     from repro.suite.executor import SuiteExecutor
 
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except ValueError:  # pragma: no cover - non-main thread (tests)
-        pass
-
     # This process runs exactly one cell at a time: no nested pools.
     params = dataclasses.replace(params, workers=1)
 
@@ -166,18 +160,9 @@ def worker_main(
 
         executor.refstore = ReferenceChecksumStore(params.output_dir)
 
-    # If the supervisor dies abruptly (kill -9, a chaos os._exit) it can
-    # never send poison pills, and a worker blocked on its pipe would
-    # idle forever. Poll with a timeout and exit when reparented.
-    supervisor_pid = os.getppid()
-
     try:
         while True:
-            if not conn.poll(_ORPHAN_POLL_S):
-                if os.getppid() != supervisor_pid:
-                    break  # orphaned: our supervisor is gone
-                continue
-            item = conn.recv()
+            item = conn.recv()  # EOF once the supervisor is gone
             if item is None:
                 break
             tasks = item.tasks if isinstance(item, CellBatch) else (item,)
@@ -217,7 +202,7 @@ def worker_main(
                     )
                 send(outcome)
     except (EOFError, OSError):
-        pass  # the supervisor closed its end of the pipe
+        pass  # the supervisor closed its end of the pipe, or died
     if executor.profile_sink is not None:
         executor.profile_sink.close()  # seal the segment's index
     emitter.stop()

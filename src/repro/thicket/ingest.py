@@ -395,20 +395,23 @@ def coerce_metrics(frame: Frame) -> Frame:
     """The dataframe's NaN metric coercion: object columns get their
     ``None`` gaps replaced by NaN and become float when every value
     converts. Idempotent — re-coercing an already coerced frame (the
-    incremental merge path) changes nothing."""
+    incremental merge path) changes nothing. The result is built once,
+    sharing every column it leaves alone."""
+    cols: dict[str, np.ndarray] = {}
+    changed = False
     for col in frame.columns:
-        if col in ("profile", "name", "path"):
-            continue
         arr = frame[col]
-        if arr.dtype == object:
-            coerced = np.array(
+        if col not in ("profile", "name", "path") and arr.dtype == object:
+            arr = np.array(
                 [np.nan if v is None else v for v in arr], dtype=object
             )
             try:
-                frame = frame.with_column(col, coerced.astype(float))
+                arr = arr.astype(float)
             except (TypeError, ValueError):
-                frame = frame.with_column(col, coerced)
-    return frame
+                pass
+            changed = True
+        cols[col] = arr
+    return Frame(cols) if changed else frame
 
 
 def build_frames(builder: TableBuilder) -> tuple[Frame, Frame]:

@@ -149,32 +149,29 @@ def _provoke_worker_crash(tmp):
     return child.exitcode
 
 
+def _orphan(seconds):
+    time.sleep(seconds)
+
+
+def _provoke_orphaned(code):
+    # Spawned the way the coordinator spawns a shard (or the scheduler a
+    # job runner), then the parent's end of the pipe goes away — what its
+    # death looks like to the child: EOF, and the orphan exit status.
+    from repro.util import child
+
+    process = child.spawn(_orphan, 30, name="orphan", orphan_exit=code)
+    process.hang_up()
+    process.join(60.0)
+    assert not process.is_alive()
+    return process.exitcode
+
+
 def _provoke_shard_orphaned(tmp):
-    # A shard whose coordinator is gone self-terminates via its lease
-    # thread (coordinator_pid=1 can never be this child's parent).
-    return _script(
-        """
-        import pathlib, time
-        from repro.suite.shard import ShardLease
-        ShardLease(pathlib.Path("."), 0, 0.05, coordinator_pid=1).start()
-        time.sleep(30)
-        """,
-        tmp,
-        timeout=60.0,
-    )
+    return _provoke_orphaned(exitcodes.SHARD_ORPHANED)
 
 
 def _provoke_job_orphaned(tmp):
-    return _script(
-        """
-        import time
-        from repro.service.scheduler import _OrphanWatch
-        _OrphanWatch(scheduler_pid=1, poll=0.05).start()
-        time.sleep(30)
-        """,
-        tmp,
-        timeout=60.0,
-    )
+    return _provoke_orphaned(exitcodes.JOB_ORPHANED)
 
 
 def _provoke_chaos_kill(tmp):

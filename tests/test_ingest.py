@@ -328,3 +328,55 @@ def test_executed_campaign_publishes_references(tmp_path):
     assert result.report.clean
     store = ReferenceChecksumStore(tmp_path)
     assert store.get("Basic_DAXPY", params.execution_size) is not MISSING
+
+
+def _coerce_metrics_column_by_column(frame):
+    """The coercion as one ``with_column`` per object column (each call
+    copying the whole frame): the reference ``coerce_metrics`` must
+    reproduce without the copies."""
+    import numpy as np
+
+    for name in frame.columns:
+        if name in ("profile", "name", "path"):
+            continue
+        arr = frame[name]
+        if arr.dtype == object:
+            coerced = np.array(
+                [np.nan if v is None else v for v in arr], dtype=object
+            )
+            try:
+                frame = frame.with_column(name, coerced.astype(float))
+            except (TypeError, ValueError):
+                frame = frame.with_column(name, coerced)
+    return frame
+
+
+def test_coerce_metrics_equals_the_column_by_column_coercion():
+    import numpy as np
+
+    from repro.dataframe import Frame
+
+    obj = lambda *values: np.array(values, dtype=object)  # noqa: E731
+    frame = Frame({
+        "profile": obj(1, 2, 3),
+        "name": obj("a", None, "c"),
+        "time": obj(1.5, None, 3),  # None gaps -> float
+        "empty": obj(None, None, None),  # all None -> all-NaN float
+        "mixed": obj("x", None, 2),  # strings stay object, None -> NaN
+        "count": np.array([1, 2, 3]),  # typed: untouched
+        "path": obj("a", "a/b", None),
+    })
+    expected = _coerce_metrics_column_by_column(frame)
+    got = ingest.coerce_metrics(frame)
+    assert got.columns == expected.columns
+    assert [got[c].dtype for c in got.columns] == [
+        expected[c].dtype for c in expected.columns
+    ]
+    assert got.equals(expected)
+    assert got["time"].dtype == float and np.isnan(got["empty"]).all()
+    assert got["mixed"].dtype == object and np.isnan(got["mixed"][1])
+    assert got["name"][1] is None  # key columns keep their None
+    # idempotent, and a frame with nothing to coerce comes back as is
+    assert ingest.coerce_metrics(got).equals(got)
+    typed = Frame({"count": np.array([1, 2])})
+    assert ingest.coerce_metrics(typed) is typed

@@ -32,7 +32,7 @@ from repro.suite.executor import SuiteExecutor
 from repro.suite.fsck import fsck_directory
 from repro.suite.manifest import LOCK_NAME, MANIFEST_NAME, CampaignLock
 from repro.suite.run_params import RunParams
-from repro.suite.shard import SHARD_DIR, ShardLease
+from repro.suite.shard import SHARD_DIR
 
 _CTX = multiprocessing.get_context("fork")
 
@@ -310,6 +310,53 @@ def test_shard_status_reports_per_shard_progress(tmp_path, capsys):
     assert main(["shard-status", str(plain)]) == 1
 
 
+def _owing_shard(tmp_path):
+    """A one-shard campaign map whose shard still owes two cells."""
+    (tmp_path / "shard_map.json").write_text(json.dumps({
+        "format": "rajaperf-shard-map", "version": 1, "shards": 1,
+        "assignment": {"shard-0": ["cell-a", "cell-b"]}, "retired": [],
+    }))
+    shard = tmp_path / SHARD_DIR / "shard-0"
+    shard.mkdir(parents=True)
+    return shard
+
+
+def _hold_lock(directory, pid):
+    (directory / LOCK_NAME).write_text(json.dumps({"pid": pid}))
+
+
+def test_shard_status_degrades_when_the_lock_holder_is_dead(tmp_path, capsys):
+    shard = _owing_shard(tmp_path)
+    gone = subprocess.Popen([sys.executable, "-c", "pass"])
+    gone.wait()
+    _hold_lock(shard, gone.pid)
+    assert main(["shard-status", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert f"lock holder pid {gone.pid} dead" in captured.out
+    assert (
+        f"degraded: shard-0: 2 cell(s) pending, lock holder pid {gone.pid} "
+        "is dead"
+    ) in captured.err
+
+
+def test_shard_status_live_lock_holder_is_not_degraded(tmp_path, capsys):
+    shard = _owing_shard(tmp_path)
+    holder = subprocess.Popen(
+        [sys.executable, "-c", "import time; time.sleep(60)"]
+    )
+    try:
+        _hold_lock(shard, holder.pid)
+        assert main(["shard-status", str(tmp_path)]) == 0
+        assert f"running (pid {holder.pid})" in capsys.readouterr().out
+        # A live coordinator between respawns still owns the work.
+        (shard / LOCK_NAME).unlink()
+        _hold_lock(tmp_path, holder.pid)
+        assert main(["shard-status", str(tmp_path)]) == 0
+    finally:
+        holder.kill()
+        holder.wait()
+
+
 def test_fsck_recurses_into_shards_and_quarantines_orphan_dirs(tmp_path):
     params = _params(tmp_path)
     SuiteExecutor(params).run(write_files=True)
@@ -444,31 +491,31 @@ def test_ten_thousand_cell_campaign_across_four_shards(tmp_path):
     ) == []
 
 
-def test_shard_lease_joins_after_stop(tmp_path):
-    lease = ShardLease(tmp_path, 0, 0.05, coordinator_pid=os.getppid())
-    lease.start()
-    lease.stop()
-    lease.join(timeout=10.0)
-    assert not lease.is_alive()
-
-
-def test_fork_under_a_live_shard_lease_is_quiet(tmp_path):
-    """Forking while a lease thread runs must leave the thread machinery
-    of the child intact: no "Exception ignored" noise on stderr."""
+def test_fork_under_a_live_parent_watch_is_quiet(tmp_path):
+    """A shard forks its workers while its parent-watch thread is blocked
+    on the shard's pipe: the fork must leave the child's thread machinery
+    intact — no "Exception ignored" noise on stderr — and the worker
+    must not hold the shard's end."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     body = textwrap.dedent(
         """
-        import os, pathlib
-        from repro.suite.shard import ShardLease
-        lease = ShardLease(pathlib.Path("."), 0, 0.05, os.getppid())
-        lease.start()
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0)
-        _, status = os.waitpid(pid, 0)
-        lease.stop()
-        lease.join(timeout=10.0)
-        raise SystemExit(os.waitstatus_to_exitcode(status))
+        from repro.cli.exitcodes import SHARD_ORPHANED
+        from repro.util import child
+
+        def worker(conn, shard_end):
+            raise SystemExit(0 if shard_end.closed else 1)
+
+        def shard(conn):
+            process = child.spawn(worker, child.PIPE, conn, name="worker")
+            process.join(60.0)
+            raise SystemExit(process.exitcode)
+
+        process = child.spawn(
+            shard, child.PIPE, name="shard", daemon=False,
+            orphan_exit=SHARD_ORPHANED,
+        )
+        process.join(60.0)
+        raise SystemExit(process.exitcode)
         """
     )
     env = dict(os.environ)
