@@ -54,7 +54,7 @@ from pathlib import Path
 from repro.caliper import calipack
 from repro.caliper.cali import STATUS_OK, sealed_crc32, verify_cali
 from repro.suite.fsck import QUARANTINE_DIR
-from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
+from repro.suite.manifest import MANIFEST_NAME, manifest_cells
 
 #: metric columns that exist only under real execution and are measured
 #: (wall clock), hence legitimately differ between two correct runs
@@ -118,19 +118,10 @@ def snapshot_store(directory: str | Path) -> StoreSnapshot:
                 snap.profiles[entry.name] = entry.crc_hex
     snap.ok_cells = {
         key
-        for key, cell in (_manifest_cells(directory) or {}).items()
-        if isinstance(cell, dict) and cell.get("status") == "ok"
+        for key, cell in manifest_cells(directory / MANIFEST_NAME).items()
+        if cell.get("status") == "ok"
     }
     return snap
-
-
-def _manifest_cells(directory: Path) -> dict[str, dict] | None:
-    """The manifest's cells, ledger replayed; None if missing/unreadable."""
-    try:
-        manifest = CampaignManifest.read(directory / MANIFEST_NAME)
-    except (OSError, ValueError):
-        return None
-    return manifest.cells if manifest is not None else None
 
 
 # ------------------------------------------------------------------ checks
@@ -171,8 +162,8 @@ def check_completed_cells_remembered(
     pre: StoreSnapshot, directory: str | Path
 ) -> list[str]:
     """I2 (post-crash half): no pre-crash ``ok`` cell vanished."""
-    cells = _manifest_cells(Path(directory))
-    if cells is None:
+    cells = manifest_cells(Path(directory) / MANIFEST_NAME)
+    if not cells:
         if pre.ok_cells:
             return [
                 f"manifest unreadable/missing; {len(pre.ok_cells)} "
@@ -190,8 +181,8 @@ def check_full_cell_set(
     expected_keys: set[str], directory: str | Path
 ) -> list[str]:
     """I3: after resume, every expected cell is recorded ``ok``."""
-    cells = _manifest_cells(Path(directory))
-    if cells is None:
+    cells = manifest_cells(Path(directory) / MANIFEST_NAME)
+    if not cells:
         return [f"no readable manifest in {directory}"]
     violations = []
     for key in sorted(expected_keys):
@@ -241,7 +232,7 @@ def check_shard_campaign(
 
     directory = Path(directory)
     violations: list[str] = []
-    shard_map = ShardMap.load(directory)
+    shard_map = ShardMap.load(directory, repair=False)
     if shard_map is None:
         return [f"no readable shard map in {directory}"]
     shard_root = directory / SHARD_DIR
@@ -262,7 +253,7 @@ def check_shard_campaign(
         violations.append(f"cell {key} missing from the shard map")
     for key in sorted(assigned - expected_keys):
         violations.append(f"shard map assigns unexpected cell {key}")
-    cells = _manifest_cells(directory) or {}
+    cells = manifest_cells(directory / MANIFEST_NAME)
     archive = directory / calipack.ARCHIVE_NAME
     try:
         merged = {e.name for e in calipack.load_entries(archive)}
@@ -294,24 +285,17 @@ def check_job_records_parse(root: str | Path) -> list[str]:
     the durable tmp+replace protocol. ``.bak`` files do
     not count: they are fsck's forensic quarantine, not live records.
     """
-    from repro.service.jobstore import (
-        RECORD_SUFFIX,
-        JobRecordDamaged,
-        JobStore,
-        parse_record_text,
-    )
+    from repro.service.jobstore import JobRecordDamaged, JobStore
 
     store = JobStore(root)
-    if not store.jobs_dir.is_dir():
-        return []
     violations = []
-    for path in sorted(store.jobs_dir.glob(f"*{RECORD_SUFFIX}")):
-        if path.name.endswith(".bak"):
-            continue
+    for job_id in store.list_ids():
         try:
-            parse_record_text(path.read_text())
-        except (OSError, JobRecordDamaged) as exc:
-            violations.append(f"job record {path.name} unreadable: {exc}")
+            store.read_record(job_id, repair=False)
+        except JobRecordDamaged as exc:
+            violations.append(
+                f"job record {store.record_path(job_id).name} unreadable: {exc}"
+            )
     return violations
 
 
@@ -328,7 +312,7 @@ def check_job_service(
     terminal job holds a live lease.
     """
     from repro.service.jobstore import STATE_SUCCEEDED, JobStore
-    from repro.suite.manifest import _pid_alive
+    from repro.suite.manifest import lease_pid, pid_alive
 
     store = JobStore(root)
     violations = check_job_records_parse(root)
@@ -366,11 +350,11 @@ def check_job_service(
     for job_id, record in sorted(records.items()):
         if not record.terminal:
             continue
-        lease = store.read_lease(job_id)
-        if lease is not None and _pid_alive(lease.get("pid")):
+        holder = lease_pid(store.lease_path(job_id))
+        if pid_alive(holder):
             violations.append(
                 f"terminal job {job_id} still holds a live scheduler "
-                f"lease (pid {lease.get('pid')})"
+                f"lease (pid {holder})"
             )
     return violations
 

@@ -881,20 +881,16 @@ class ChaosRunner:
         """Wait for orphaned job runners to read their scheduler's death
         as EOF and exit, so the post-crash audit reads a quiescent
         store."""
-        from repro.suite.manifest import _pid_alive, campaign_is_live
+        from repro.suite.manifest import campaign_is_live, lease_pid, pid_alive
 
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
             live = any(
                 campaign_is_live(c) for c in (root / "campaigns").glob("*")
+            ) or any(
+                pid_alive(lease_pid(lease))
+                for lease in (root / "jobs").glob("*.lease")
             )
-            for lease in sorted((root / "jobs").glob("*.lease")):
-                try:
-                    holder = json.loads(lease.read_text()).get("pid")
-                except (OSError, ValueError):
-                    holder = None
-                if _pid_alive(holder):
-                    live = True
             if not live:
                 return
             time.sleep(0.1)

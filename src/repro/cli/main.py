@@ -515,7 +515,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return exitcodes.CAMPAIGN_LOCKED
     for path in result.cali_paths:
         print(f"wrote {path}")
-    print(f"{len(result.profiles)} profiles, "
+    # A sharded run's profiles stay in its merged archive: count its refs.
+    print(f"{len(result.profiles or result.cali_paths)} profiles, "
           f"{len(executor.selected_kernels())} kernels each")
     print(result.report.summary())
     if result.report.interrupted:

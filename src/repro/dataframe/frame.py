@@ -240,9 +240,6 @@ class Frame:
             raise IndexError(f"row {i} out of range for {self._nrows} rows")
         return {n: c[i] for n, c in self._cols.items()}
 
-    def to_records(self) -> list[dict[str, Any]]:
-        return list(self.iter_rows())
-
     # -------------------------------------------------------------- sorting
     def sort_by(self, *names: str, descending: bool = False) -> "Frame":
         """Stable lexicographic sort by the given columns (first is primary)."""

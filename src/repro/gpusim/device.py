@@ -56,10 +56,6 @@ class Device:
             total_warps=grid * warps_per_block,
         )
 
-    def warp_instructions(self, thread_instructions: float) -> float:
-        """Convert a thread-instruction count to warp instructions."""
-        return thread_instructions / self.warp_size
-
     def occupancy(self, block_size: int, max_blocks_per_sm: int = 32) -> float:
         """Fraction of the SM's warp slots occupied for a block size.
 

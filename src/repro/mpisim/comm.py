@@ -105,10 +105,6 @@ class SimComm:
                 f"tag {req.tag} that was never sent"
             )
 
-    def waitall(self, dest: int, requests: list[SimRequest]) -> None:
-        for req in requests:
-            self.wait(dest, req)
-
     # ------------------------------------------------------------ collectives
     def allreduce_sum(self, contributions: list[float]) -> float:
         """Sum across ranks (used by reduction kernels under MPI)."""

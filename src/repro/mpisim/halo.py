@@ -9,7 +9,6 @@ HALO kernels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -83,16 +82,3 @@ def halo_surface_elements(total_elements: int, ranks: int, halo_width: int = 1) 
     per_rank = total_elements / ranks
     edge = per_rank ** (1.0 / 3.0)
     return ranks * 6.0 * edge * edge * halo_width
-
-
-def amdahl_comm_fraction(compute_time: float, comm_time: float) -> float:
-    """Fraction of a halo kernel's time spent communicating."""
-    total = compute_time + comm_time
-    if total <= 0:
-        raise ValueError("degenerate zero-time halo exchange")
-    return comm_time / total
-
-
-def log2_message_count(ranks: int) -> int:
-    """Messages in a tree allreduce (used by reduction cost accounting)."""
-    return 2 * max(0, math.ceil(math.log2(max(ranks, 1))))

@@ -324,14 +324,6 @@ def iter_partitions(policy: ExecPolicy, indices: np.ndarray) -> Iterator[np.ndar
         yield indices[start:stop]
 
 
-def iter_partition_slices(
-    policy: ExecPolicy, begin: int, end: int
-) -> Iterator[slice]:
-    """The policy's partitions over ``[begin, end)`` as ``slice`` objects."""
-    for start, stop in partition_plan(policy, end - begin):
-        yield slice(begin + start, begin + stop)
-
-
 # ----------------------------------------------------------------- dispatch
 def forall(policy: ExecPolicy, segment: object, body: IndexBody) -> int:
     """Run ``body`` over ``segment`` under ``policy``; return launch count.

@@ -91,11 +91,23 @@ class JobError(ValueError):
     """Anything structurally wrong with a job: spec, id, or transition."""
 
 
-class JobRecordDamaged(JobError):
-    """A job record on disk failed its seal (torn or bit-rotted)."""
+class SealDamaged(JobError):
+    """A sealed file on disk failed its seal (torn or bit-rotted).
+
+    Raised by the store's readers with ``path`` set and ``backup``
+    naming the ``.bak`` a repairing read moved the file to (None: left
+    in place, because the read did not repair or the backup failed).
+    """
+
+    path: Path | None = None
+    backup: Path | None = None
 
 
-class TombstoneDamaged(JobError):
+class JobRecordDamaged(SealDamaged):
+    """A job record on disk failed its seal."""
+
+
+class TombstoneDamaged(SealDamaged):
     """A tombstone on disk failed its seal — it condemns nothing."""
 
 
@@ -326,6 +338,36 @@ def parse_tombstone_text(text: str) -> dict[str, Any]:
     return payload
 
 
+def _read_sealed(path: Path, parse, repair: bool):
+    """``parse`` of the file at ``path``; None when there is none.
+
+    Damage raises the parser's :class:`SealDamaged`; with ``repair``
+    the file is first backed up as ``.bak`` (forensics first).
+    """
+    try:
+        text = path.read_text()
+    except OSError:
+        return None
+    try:
+        return parse(text)
+    except SealDamaged as exc:
+        exc.path = path
+        exc.backup = back_up(path) if repair else None
+        raise
+
+
+def warn_damaged(exc: SealDamaged, repair: bool = True) -> None:
+    """Warn that a reader met a damaged sealed file (and what it did)."""
+    what = "tombstone" if isinstance(exc, TombstoneDamaged) else "job record"
+    if exc.backup is not None:
+        saved = f"; backed up as {exc.backup.name}"
+    elif repair:
+        saved = "; backup failed, damaged file left in place"
+    else:
+        saved = ""
+    warnings.warn(f"damaged {what} {exc.path} ({exc}){saved}", stacklevel=3)
+
+
 def _wallclock() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S")
 
@@ -454,25 +496,21 @@ class JobStore:
         return write_durable_text(path, seal_record(record))
 
     # ----------------------------------------------------------------- load
-    def load(self, job_id: str) -> JobRecord | None:
-        """The job's record, or None (unknown, or damaged-and-backed-up)."""
-        path = self.record_path(job_id)
+    def read_record(self, job_id: str, repair: bool = True) -> JobRecord | None:
+        """The job's verified record, or None when it has none.
+
+        The one reader of ``jobs/<id>.json``: a damaged record raises
+        :class:`JobRecordDamaged`, after a ``.bak`` backup with ``repair``.
+        """
+        return _read_sealed(self.record_path(job_id), parse_record_text, repair)
+
+    def load(self, job_id: str, repair: bool = True) -> JobRecord | None:
+        """The job's record, or None (unknown, or damaged: warned about
+        and, with ``repair``, backed up)."""
         try:
-            text = path.read_text()
-        except OSError:
-            return None
-        try:
-            return parse_record_text(text)
+            return self.read_record(job_id, repair)
         except JobRecordDamaged as exc:
-            backup = back_up(path)
-            saved = (
-                f"; backed up as {backup.name}"
-                if backup is not None
-                else "; backup failed, damaged file left in place"
-            )
-            warnings.warn(
-                f"damaged job record {path} ({exc}){saved}", stacklevel=2
-            )
+            warn_damaged(exc, repair)
             return None
 
     def list_ids(self) -> list[str]:
@@ -485,12 +523,15 @@ class JobStore:
         )
 
     def list_jobs(
-        self, tenant: str | None = None, states: frozenset[str] | set[str] | None = None
+        self,
+        tenant: str | None = None,
+        states: frozenset[str] | set[str] | None = None,
+        repair: bool = True,
     ) -> list[JobRecord]:
         """Every readable record, in submission order (seq, then id)."""
         jobs = []
         for job_id in self.list_ids():
-            record = self.load(job_id)
+            record = self.load(job_id, repair)
             if record is None:
                 continue
             if tenant is not None and record.tenant != tenant:
@@ -555,30 +596,17 @@ class JobStore:
         path = self.tombstone_path(record.job_id)
         return write_durable_text(path, seal_tombstone(payload))
 
-    def read_tombstone(self, job_id: str) -> dict[str, Any] | None:
-        """The job's verified tombstone payload, or None.
+    def read_tombstone(
+        self, job_id: str, repair: bool = True
+    ) -> dict[str, Any] | None:
+        """The job's verified tombstone payload, or None when it has none.
 
-        A damaged tombstone is backed up as ``.bak`` (forensics, like a
-        damaged record) and reported as None — it condemns nothing.
+        A damaged tombstone condemns nothing: it raises
+        :class:`TombstoneDamaged`, after a ``.bak`` backup with ``repair``.
         """
-        path = self.tombstone_path(job_id)
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        try:
-            return parse_tombstone_text(text)
-        except TombstoneDamaged as exc:
-            backup = back_up(path)
-            saved = (
-                f"; backed up as {backup.name}"
-                if backup is not None
-                else "; backup failed, damaged file left in place"
-            )
-            warnings.warn(
-                f"damaged tombstone {path} ({exc}){saved}", stacklevel=2
-            )
-            return None
+        return _read_sealed(
+            self.tombstone_path(job_id), parse_tombstone_text, repair
+        )
 
     def list_tombstone_ids(self) -> list[str]:
         if not self.jobs_dir.is_dir():
@@ -601,15 +629,7 @@ class JobStore:
 
         return CampaignLock.acquire_path(self.lease_path(job_id))
 
-    def read_lease(self, job_id: str) -> dict[str, Any] | None:
-        try:
-            payload = json.loads(self.lease_path(job_id).read_text())
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
     def lease_holder_alive(self, job_id: str) -> bool:
-        from repro.suite.manifest import _pid_alive
+        from repro.suite.manifest import lease_pid, pid_alive
 
-        lease = self.read_lease(job_id)
-        return lease is not None and _pid_alive(lease.get("pid"))
+        return pid_alive(lease_pid(self.lease_path(job_id)))

@@ -16,8 +16,9 @@ job either fully live or provably condemned — never half-deleted:
    and pin markers, and finally the tombstone itself.
 
 Recovery is :func:`complete_tombstones` — run by every GC pass and by
-fsck's job-store audit: any sealed tombstone found on disk has its
-reclamation finished; a damaged tombstone condemns nothing and is
+fsck's job-store audit, the one place an interrupted reclamation is
+finished, refused or reported: any sealed tombstone found on disk has
+its reclamation finished; a damaged tombstone condemns nothing and is
 backed up as forensics. Selection never condemns a non-terminal job, a
 pinned job (``jobs/<id>.pin``), or a job whose lease is held by a live
 scheduler; terminal states are absorbing, so a job observed terminal
@@ -43,7 +44,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.faults import fault_point
-from repro.service.jobstore import JobRecord, JobStore
+from repro.service.jobstore import (
+    JobRecord,
+    JobStore,
+    TombstoneDamaged,
+    warn_damaged,
+)
 from repro.util.fsio import back_up, durable_replace, fsync_dir
 
 #: suffix of compaction's in-flight rebuild sibling (fsck sweeps orphans)
@@ -54,6 +60,24 @@ LEFT_CAMPAIGN_DIR = (
     "left its campaign directory (written during the walk); the "
     "tombstone stays for the next pass"
 )
+
+
+#: what :func:`complete_tombstones` did with one tombstone
+COMPLETED = "completed"  # reclaimed, tombstone gone
+LEFT = "left"  # the campaign directory survived the walk: tombstone stays
+REFUSED = "refused"  # its record is not terminal: nothing is destroyed
+DAMAGED = "damaged"  # fails its seal: condemns nothing
+PENDING = "pending"  # sealed; a report-only pass leaves it for repair
+
+
+@dataclass(frozen=True)
+class TombstoneOutcome:
+    """One tombstone's fate; ``detail`` is the seal error (damaged) or
+    the record's state (refused)."""
+
+    job_id: str
+    status: str
+    detail: str = ""
 
 
 # ---------------------------------------------------------------- policy
@@ -216,13 +240,15 @@ def select_candidates(
     store: JobStore,
     policy: RetentionPolicy,
     now: float | None = None,
+    repair: bool = True,
 ) -> list[tuple[JobRecord, str]]:
     """Jobs the policy condemns, oldest-first, with human reasons.
 
-    Selection is a pure read: nothing is condemned until
-    :func:`collect_job` re-verifies eligibility and writes the
-    tombstone. Pinned and lease-held terminal jobs are never selected
-    but still count toward the count/byte budgets they occupy.
+    Selection reads: nothing is condemned until :func:`collect_job`
+    re-verifies eligibility and writes the tombstone, and a damaged
+    record is backed up only with ``repair``. Pinned and lease-held
+    terminal jobs are never selected but still count toward the
+    count/byte budgets they occupy.
     """
     if now is None:
         now = time.time()
@@ -234,7 +260,7 @@ def select_candidates(
     def _age_key(record: JobRecord) -> tuple[float, int, str]:
         return (_epoch(record.created_at) or 0.0, record.seq, record.job_id)
 
-    terminal = [r for r in store.list_jobs() if r.terminal]
+    terminal = [r for r in store.list_jobs(repair=repair) if r.terminal]
     terminal.sort(key=_age_key)
     eligible = [r for r in terminal if _eligible(store, r) is None]
     chosen: dict[str, tuple[JobRecord, str]] = {}
@@ -373,25 +399,37 @@ def collect_job(store: JobStore, job_id: str, reason: str = "") -> bool:
     return reclaim(store, job_id)
 
 
-def complete_tombstones(store: JobStore) -> list[str]:
+def complete_tombstones(
+    store: JobStore, repair: bool = True
+) -> list[TombstoneOutcome]:
     """Finish every interrupted reclamation a sealed tombstone proves.
 
     A tombstone whose record is somehow *non-terminal* (a protocol
-    violation that cannot arise from this module) is refused and backed
-    up — the destructive path only ever runs with proof.
+    violation that cannot arise from this module) is refused — the
+    destructive path only ever runs with proof. With ``repair`` off
+    nothing is written: sealed tombstones stay pending, and damaged or
+    refused ones are not backed up.
     """
-    done: list[str] = []
+    outcomes = []
     for job_id in store.list_tombstone_ids():
-        payload = store.read_tombstone(job_id)
-        if payload is None:
-            continue  # damaged: backed up by read_tombstone, condemns nothing
-        record = store.load(job_id)
-        if record is not None and not record.terminal:
-            back_up(store.tombstone_path(job_id))
+        try:
+            if store.read_tombstone(job_id, repair) is None:
+                continue  # reclaimed by a racing pass
+        except TombstoneDamaged as exc:
+            warn_damaged(exc, repair)
+            outcomes.append(TombstoneOutcome(job_id, DAMAGED, str(exc)))
             continue
-        if reclaim(store, job_id):
-            done.append(job_id)
-    return done
+        record = store.load(job_id, repair)
+        if record is not None and not record.terminal:
+            if repair:
+                back_up(store.tombstone_path(job_id))
+            outcomes.append(TombstoneOutcome(job_id, REFUSED, record.state))
+        elif not repair:
+            outcomes.append(TombstoneOutcome(job_id, PENDING))
+        else:
+            done = reclaim(store, job_id)
+            outcomes.append(TombstoneOutcome(job_id, COMPLETED if done else LEFT))
+    return outcomes
 
 
 # ------------------------------------------------------------------- gc
@@ -411,43 +449,27 @@ def gc(
     """
     store = root if isinstance(root, JobStore) else JobStore(root)
     report = GCReport(root=store.root, dry_run=dry_run)
-    if dry_run:
-        pending = [
-            job_id
-            for job_id in store.list_tombstone_ids()
-            if store.read_tombstone(job_id) is not None
-        ]
-        if pending:
-            report.notes.append(
-                f"{len(pending)} interrupted reclamation(s) pending: "
-                + ", ".join(pending)
-            )
-    else:
-        report.completed = complete_tombstones(store)
+    outcomes = complete_tombstones(store, repair=not dry_run)
+    report.completed = [o.job_id for o in outcomes if o.status == COMPLETED]
+    pending = [o.job_id for o in outcomes if o.status in (PENDING, REFUSED)]
+    if dry_run and pending:
+        report.notes.append(
+            f"{len(pending)} interrupted reclamation(s) pending: "
+            + ", ".join(pending)
+        )
 
     from repro.service.admission import directory_bytes
 
-    for record, reason in select_candidates(store, policy, now=now):
+    candidates = select_candidates(store, policy, now=now, repair=not dry_run)
+    for record, reason in candidates:
         size = directory_bytes(store.campaign_dir(record.job_id))
-        if dry_run:
-            report.collected.append(
-                {
-                    "job_id": record.job_id,
-                    "tenant": record.tenant,
-                    "reason": reason,
-                    "bytes": size,
-                }
-            )
-            continue
-        if collect_job(store, record.job_id, reason):
-            report.collected.append(
-                {
-                    "job_id": record.job_id,
-                    "tenant": record.tenant,
-                    "reason": reason,
-                    "bytes": size,
-                }
-            )
+        if dry_run or collect_job(store, record.job_id, reason):
+            report.collected.append({
+                "job_id": record.job_id,
+                "tenant": record.tenant,
+                "reason": reason,
+                "bytes": size,
+            })
         elif store.tombstone_path(record.job_id).exists():
             report.skipped.append((record.job_id, LEFT_CAMPAIGN_DIR))
         else:
@@ -459,7 +481,7 @@ def gc(
         from repro.caliper.calipack import ARCHIVE_NAME
 
         collected = {c["job_id"] for c in report.collected}
-        for record in store.list_jobs():
+        for record in store.list_jobs(repair=not dry_run):
             if not record.terminal or record.job_id in collected:
                 continue
             archive = store.campaign_dir(record.job_id) / ARCHIVE_NAME

@@ -67,7 +67,7 @@ from repro.service.jobstore import (
 )
 from repro.suite import registry
 from repro.suite.errors import CampaignLockedError
-from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
+from repro.suite.manifest import MANIFEST_NAME, manifest_cells
 from repro.util import child
 from repro.util.diskstat import STATE_HARD, DiskWatermarks
 
@@ -278,13 +278,9 @@ class JobScheduler:
         last = self._last_progress.get(record.job_id, 0.0)
         if not force and now - last < self.config.progress_interval:
             return
-        try:
-            manifest = CampaignManifest.read(
-                self.store.campaign_dir(record.job_id) / MANIFEST_NAME
-            )
-        except (OSError, ValueError):
-            manifest = None
-        cells = manifest.cells if manifest is not None else {}
+        cells = manifest_cells(
+            self.store.campaign_dir(record.job_id) / MANIFEST_NAME
+        )
         ok = sum(1 for c in cells.values() if c.get("status") == "ok")
         failed = len(cells) - ok
         progress = {

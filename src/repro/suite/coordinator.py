@@ -58,7 +58,7 @@ from repro.cli.exitcodes import CAMPAIGN_LOCKED, SHARD_ORPHANED
 from repro.faults import fault_point
 from repro.suite.executor import ModelPlan
 from repro.suite.heartbeat import HeartbeatMonitor
-from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
+from repro.suite.manifest import MANIFEST_NAME, CampaignManifest, manifest_cells
 from repro.suite.report import STATUS_FAILED, STATUS_OK, KernelRunRecord
 from repro.suite.run_params import RunParams
 from repro.suite.session import CampaignSession
@@ -96,10 +96,13 @@ class ShardMap:
     strategy: str = STRATEGY_ROUND_ROBIN
 
     @classmethod
-    def load(cls, output_dir: str | Path) -> "ShardMap | None":
+    def load(
+        cls, output_dir: str | Path, repair: bool = True
+    ) -> "ShardMap | None":
         """The directory's shard map, or None (fresh, or unreadable).
 
-        An unreadable map is backed up as ``shard_map.json.bak`` — same
+        With ``repair`` an unreadable map is backed up as
+        ``shard_map.json.bak`` and a warning says so — same
         forensics-first policy as the campaign manifest. Losing the map
         is safe: a fresh partition re-runs at most the cells whose
         completions now sit in a different shard's manifest, and the
@@ -116,6 +119,8 @@ class ShardMap:
                 for k, v in dict(payload.get("assignment", {})).items()
             }
         except (OSError, ValueError, KeyError, TypeError) as exc:
+            if not repair:
+                return None
             backup = back_up(path)
             saved = (
                 f"; corrupt file backed up as {backup.name}"
@@ -511,16 +516,9 @@ class ShardCoordinator:
         return [k for k in handle.keys if k not in done]
 
     def _shard_cells(self, index: int) -> dict[str, dict]:
-        shard_dir = shard_path(self.params.output_dir, index)
-        try:
-            manifest = CampaignManifest.read(shard_dir / MANIFEST_NAME)
-        except (OSError, ValueError):
-            return {}
-        if manifest is None:
-            return {}
-        return {
-            k: v for k, v in manifest.cells.items() if isinstance(v, dict)
-        }
+        return manifest_cells(
+            shard_path(self.params.output_dir, index) / MANIFEST_NAME
+        )
 
     # ----------------------------------------------------------------- merge
     def _merge(self, out_dir: Path, shard_map: ShardMap, handles) -> None:

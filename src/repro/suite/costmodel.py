@@ -42,8 +42,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.suite.manifest import CampaignManifest
-from repro.suite.report import cell_key
+from repro.suite.manifest import manifest_cells
 
 #: nominal host streaming throughput for the execution term (bytes/s).
 #: Only the *ratio* against the dispatch overhead matters: it decides
@@ -91,16 +90,8 @@ def load_measured_costs(manifest_path: str | Path) -> dict[str, float]:
     records; unreadable or old-format manifests yield an empty dict —
     the caller falls back to the analytic estimate.
     """
-    try:
-        manifest = CampaignManifest.read(manifest_path)
-    except (OSError, ValueError):
-        return {}
-    if manifest is None:
-        return {}
     out: dict[str, float] = {}
-    for key, entry in manifest.cells.items():
-        if not isinstance(entry, dict):
-            continue
+    for key, entry in manifest_cells(manifest_path).items():
         elapsed = entry.get("elapsed_s")
         if isinstance(elapsed, (int, float)) and elapsed > 0:
             out[str(key)] = float(elapsed)
@@ -168,13 +159,6 @@ class CellCostModel:
         if hit is not None:
             return hit
         return self.cost(task.machine, task.variant, task.block)
-
-    def cost_of_cell(self, cell) -> float:
-        """Cost of an executor ``_Cell``."""
-        hit = self.measured.get(cell.key)
-        if hit is not None:
-            return hit
-        return self.cost(cell.machine.shorthand, cell.variant.name, cell.block)
 
     # ------------------------------------------------------------ internals
     def _estimate(self, machine_name: str, variant_name: str, block: int) -> float:

@@ -54,21 +54,29 @@ a cache entry is derived state that the next read rebuilds.
 
 Campaign-service roots (:mod:`repro.service`) are audited too: every
 ``jobs/<id>.json`` record is seal-verified (damage backed up as
-``.bak``), dead scheduler leases and stale takeover tokens swept, and
-each job's ``campaigns/<id>/`` directory recursed into as an ordinary
-campaign directory — so one ``fsck <root>`` audits the whole service.
+``.bak``), interrupted reclamations finished through retention's
+:func:`~repro.service.retention.complete_tombstones`, dead scheduler
+leases and stale takeover tokens swept, and each job's
+``campaigns/<id>/`` directory recursed into as an ordinary campaign
+directory — so one ``fsck <root>`` audits the whole service.
 A job whose scheduler lease has a live holder is live, like one whose
 campaign lock has: its directory is skipped, because the scheduler may
 fork its runner at any moment. That rule makes a pass safe beside a
 running daemon, which runs one between scheduler ticks
 (``serve --scrub-interval``).
+
+fsck parses no control file itself: records, tombstones, PID leases,
+takeover tokens, manifests and the shard map are read through the
+readers of the modules that write them, with their ``repair`` switch
+set from ``quarantine``. A report-only pass (``fsck --dry-run``)
+therefore writes nothing.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,10 +92,11 @@ from repro.suite.manifest import (
     LOCK_NAME,
     MANIFEST_NAME,
     CampaignManifest,
-    _pid_alive,
     campaign_is_live,
+    lease_pid,
+    pid_alive,
 )
-from repro.util.fsio import TMP_GLOB, back_up, durable_replace, tmp_sibling
+from repro.util.fsio import TMP_GLOB, durable_replace, tmp_sibling
 
 #: where fsck moves damaged/orphaned profiles (inside the output dir)
 QUARANTINE_DIR = "quarantine"
@@ -220,7 +229,7 @@ def fsck_directory(
     """
     directory = Path(output_dir)
     report = FsckReport(directory=directory)
-    known: dict[str, str] = {}
+    known: dict[str, str] | None = None  # None: no manifest to vouch
     try:
         manifest = CampaignManifest.read(directory / MANIFEST_NAME)
     except (OSError, ValueError):
@@ -245,23 +254,14 @@ def fsck_directory(
         report.manifest_found = True
 
     for path in sorted(directory.glob("*.cali")):
-        status, detail = verify_cali(path)
-        cell = known.get(path.name)
-        if status in (STATUS_OK, STATUS_UNSEALED) and manifest is not None and cell is None:
-            status, detail = (
-                STATUS_ORPHANED,
-                "not recorded in the campaign manifest",
-            )
-        report.checks.append(
-            ProfileCheck(path=path, status=status, detail=detail, cell=cell)
-        )
+        report.checks.append(_verdict(path, *verify_cali(path), known))
 
     archives = sorted(directory.glob("*" + calipack.ARCHIVE_SUFFIX))
     seg_dir = directory / calipack.SEGMENT_DIR
     if seg_dir.is_dir():
         archives += sorted(seg_dir.glob("*" + calipack.ARCHIVE_SUFFIX))
     for archive in archives:
-        _check_archive(archive, manifest, known, report)
+        _check_archive(archive, known, report)
 
     bad = [c for c in report.checks if c.quarantinable]
     if quarantine and bad:
@@ -287,7 +287,29 @@ def fsck_directory(
     _fsck_shards(directory, quarantine, mark_rerun, report)
     _fsck_jobs(directory, quarantine, mark_rerun, report)
 
-    return _finish(report, manifest, mark_rerun)
+    if mark_rerun and manifest is not None:
+        for check in bad:
+            if check.cell is not None:
+                manifest.mark_for_rerun(
+                    check.cell, f"{check.status} profile quarantined by fsck"
+                )
+                report.rerun_cells.append(check.cell)
+        if report.rerun_cells:
+            manifest.save()
+            manifest.compact()
+    return report
+
+
+def _verdict(
+    path: Path, status: str, detail: str, known: dict[str, str] | None,
+    **where,
+) -> ProfileCheck:
+    """One profile's check; a sound profile the manifest does not know
+    is orphaned."""
+    cell = None if known is None else known.get(where.get("entry", path.name))
+    if status in (STATUS_OK, STATUS_UNSEALED) and known is not None and cell is None:
+        status, detail = STATUS_ORPHANED, "not recorded in the campaign manifest"
+    return ProfileCheck(path=path, status=status, detail=detail, cell=cell, **where)
 
 
 def _sweep_orphan_tmps(directory: Path, report: FsckReport) -> None:
@@ -313,7 +335,7 @@ def _sweep_orphan_tmps(directory: Path, report: FsckReport) -> None:
     jobs = directory / JOBS_DIR
     if jobs.is_dir():
         for tmp in sorted(jobs.glob(TMP_GLOB)):
-            if not _pid_alive(_tmp_writer_pid(tmp)):
+            if not pid_alive(_tmp_writer_pid(tmp)):
                 _remove_tmp(tmp, report)
     if campaign_is_live(directory):
         return
@@ -382,12 +404,13 @@ def _fsck_shards(
     """Audit and repair the sharded layer of a campaign directory.
 
     The shard map is loaded through :meth:`ShardMap.load`, which backs
-    up an unreadable map (the resumed coordinator repartitions). Shard
-    directories the map does not know — leftovers of an older, wider
-    partition — are quarantined whole, because the merge would otherwise
-    pick up archives no assignment vouches for. Every known shard
-    directory is a complete campaign directory and gets a recursive
-    sub-pass, except while a live shard supervisor holds its lock.
+    up an unreadable map when repairing (the resumed coordinator
+    repartitions). Shard directories the map does not know — leftovers
+    of an older, wider partition — are quarantined whole, because the
+    merge would otherwise pick up archives no assignment vouches for.
+    Every known shard directory is a complete campaign directory and
+    gets a recursive sub-pass, except while a live shard supervisor
+    holds its lock.
     """
     # Imported here: the coordinator imports fsck for shard healing.
     from repro.suite.coordinator import MAP_NAME, ShardMap
@@ -399,11 +422,12 @@ def _fsck_shards(
         return
 
     had_map = map_path.exists()
-    shard_map = ShardMap.load(directory)
+    shard_map = ShardMap.load(directory, repair=quarantine)
     if had_map and shard_map is None:
         report.notes.append(
-            "unreadable shard map backed up; the coordinator "
-            "repartitions on resume"
+            "unreadable shard map"
+            + (" backed up" if quarantine else "")
+            + "; the coordinator repartitions on resume"
         )
 
     if shard_root.is_dir():
@@ -451,11 +475,7 @@ def _fsck_shards(
             shutil.rmtree(scratch, ignore_errors=True)
             report.notes.append("stale merge scratch removed")
         token = directory / (LOCK_NAME + ".takeover")
-        try:
-            claimant = json.loads(token.read_text()).get("pid")
-        except (OSError, ValueError):
-            claimant = None
-        if token.exists() and not _pid_alive(claimant):
+        if token.exists() and not pid_alive(lease_pid(token)):
             token.unlink(missing_ok=True)
             report.notes.append("stale lock-takeover token removed")
 
@@ -468,133 +488,53 @@ def _fsck_jobs(
 ) -> None:
     """Audit a campaign-service root: job records, leases, campaigns.
 
-    Every ``jobs/<id>.json`` is seal-verified; a damaged record is
-    backed up as ``.bak`` (forensics first — scheduler recovery or an
-    idempotent resubmit reconstitutes the job). Lease files and takeover
-    tokens whose holders are dead are swept, cancel markers orphaned by
-    terminal jobs removed, and every job's campaign directory gets the
-    same recursive sub-pass shard directories get — except while a live
-    scheduler holds the job's lease or a live job runner holds its
-    campaign lock. Campaign directories no job
-    record accounts for are reported: they are exactly the "duplicated
-    work" chaos invariant I6 forbids — *unless* a sealed tombstone
-    condemns them, in which case the interrupted reclamation is finished
-    (quarantine mode) or reported as pending; a damaged tombstone
-    condemns nothing and is backed up as forensics.
+    Every file is read through its owner's reader, repairing only with
+    ``quarantine``. A damaged ``jobs/<id>.json`` is backed up as
+    ``.bak`` (forensics first — scheduler recovery or an idempotent
+    resubmit reconstitutes the job). Tombstones go through retention's
+    :func:`~repro.service.retention.complete_tombstones`, which finishes
+    (or, report-only, names) every interrupted reclamation. Leases and
+    takeover tokens whose holders are dead are swept, cancel markers
+    orphaned by terminal jobs removed, and every job's campaign
+    directory gets the same recursive sub-pass shard directories get —
+    except while a live scheduler holds the job's lease or a live job
+    runner holds its campaign lock. Campaign directories no job record
+    or sealed tombstone accounts for are reported: they are exactly the
+    "duplicated work" chaos invariant I6 forbids.
     """
-    from repro.service.jobstore import (
-        LEASE_SUFFIX,
-        RECORD_SUFFIX,
-        JobRecordDamaged,
-        JobStore,
-        TombstoneDamaged,
-        parse_record_text,
-        parse_tombstone_text,
-    )
+    from repro.service import retention
+    from repro.service.jobstore import LEASE_SUFFIX, JobStore, SealDamaged
 
     store = JobStore(directory)
     if not store.jobs_dir.is_dir():
         return
 
     records = {}
-    for path in sorted(store.jobs_dir.glob(f"*{RECORD_SUFFIX}")):
-        if path.name.endswith(".bak"):
-            continue
-        job_id = path.name[: -len(RECORD_SUFFIX)]
+    for job_id in store.list_ids():
         try:
-            records[job_id] = parse_record_text(path.read_text())
-        except (OSError, JobRecordDamaged) as exc:
-            if quarantine:
-                backup = back_up(path)
-                report.notes.append(
-                    f"damaged job record {path.name} backed up as "
-                    f"{backup.name} ({exc})"
-                    if backup is not None
-                    else f"damaged job record {path.name} left in place "
-                    f"(backup failed): {exc}"
-                )
-            else:
-                report.notes.append(f"damaged job record {path.name}: {exc}")
+            record = store.read_record(job_id, repair=quarantine)
+        except SealDamaged as exc:
+            report.notes.append(_record_damage_note(exc, quarantine))
+            continue
+        if record is not None:
+            records[job_id] = record
 
-    # Tombstones: a sealed one is proof of an interrupted reclamation —
-    # finish it (the destructive path re-runs retention's own reclaim,
-    # which is idempotent). A damaged one condemns nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the outcomes are the report
+        outcomes = retention.complete_tombstones(store, repair=quarantine)
     condemned: set[str] = set()
-    for job_id in sorted(store.list_tombstone_ids()):
-        try:
-            text = store.tombstone_path(job_id).read_text()
-        except OSError:  # pragma: no cover - racing reclaim
-            continue
-        try:
-            parse_tombstone_text(text)
-        except TombstoneDamaged as exc:
-            if quarantine:
-                import warnings as _warnings
+    for outcome in outcomes:
+        if outcome.status in (retention.COMPLETED, retention.LEFT):
+            records.pop(outcome.job_id, None)
+        if outcome.status not in (retention.DAMAGED, retention.REFUSED):
+            condemned.add(outcome.job_id)
+        report.notes.append(_tombstone_note(outcome, quarantine))
 
-                with _warnings.catch_warnings():
-                    _warnings.simplefilter("ignore")
-                    store.read_tombstone(job_id)  # backs up as .bak
-                report.notes.append(
-                    f"damaged tombstone for job {job_id} backed up "
-                    f"(condemns nothing): {exc}"
-                )
-            else:
-                report.notes.append(
-                    f"damaged tombstone for job {job_id}: {exc}"
-                )
-            continue
-        record = records.get(job_id)
-        if record is not None and not record.terminal:
-            report.notes.append(
-                f"tombstone for non-terminal job {job_id} "
-                f"(state {record.state}) refused"
-                + ("; backed up" if quarantine else "")
-            )
-            if quarantine:
-                back_up(store.tombstone_path(job_id))
-            continue
-        condemned.add(job_id)
-        if quarantine:
-            from repro.service.retention import LEFT_CAMPAIGN_DIR, reclaim
-
-            records.pop(job_id, None)
-            report.notes.append(
-                f"interrupted reclamation of job {job_id} completed "
-                "(sealed tombstone)"
-                if reclaim(store, job_id)
-                else f"reclamation of job {job_id} {LEFT_CAMPAIGN_DIR}"
-            )
-        else:
-            report.notes.append(
-                f"job {job_id} is condemned by a sealed tombstone; "
-                "reclamation incomplete (gc or fsck repair finishes it)"
-            )
-
-    leases = sorted(store.jobs_dir.glob(f"*{LEASE_SUFFIX}")) + sorted(
-        store.jobs_dir.glob(f"*{LEASE_SUFFIX}.takeover")
-    )
     leased: set[str] = set()
-    for lease in leases:
-        if lease.name.endswith(".takeover"):
-            try:
-                claimant = json.loads(lease.read_text()).get("pid")
-            except (OSError, ValueError):
-                claimant = None
-            if not _pid_alive(claimant):
-                if quarantine:
-                    lease.unlink(missing_ok=True)
-                report.notes.append(
-                    f"stale lease-takeover token {lease.name} removed"
-                    if quarantine
-                    else f"stale lease-takeover token {lease.name}"
-                )
-            continue
+    for lease in sorted(store.jobs_dir.glob(f"*{LEASE_SUFFIX}")):
         job_id = lease.name[: -len(LEASE_SUFFIX)]
-        try:
-            holder = json.loads(lease.read_text()).get("pid")
-        except (OSError, ValueError):
-            holder = None
-        if _pid_alive(holder):
+        holder = lease_pid(lease)
+        if pid_alive(holder):
             leased.add(job_id)
             continue
         if quarantine:
@@ -608,6 +548,14 @@ def _fsck_jobs(
             report.notes.append(
                 f"job {job_id} is RUNNING with no live scheduler; "
                 "recovery will heal it"
+            )
+    for token in sorted(store.jobs_dir.glob(f"*{LEASE_SUFFIX}.takeover")):
+        if not pid_alive(lease_pid(token)):
+            if quarantine:
+                token.unlink(missing_ok=True)
+            report.notes.append(
+                f"stale lease-takeover token {token.name}"
+                + (" removed" if quarantine else "")
             )
 
     for job_id in store.list_cancel_ids():
@@ -649,11 +597,35 @@ def _fsck_jobs(
             )
 
 
+def _record_damage_note(exc, repaired: bool) -> str:
+    name = exc.path.name
+    if not repaired:
+        return f"damaged job record {name}: {exc}"
+    if exc.backup is None:
+        return f"damaged job record {name} left in place (backup failed): {exc}"
+    return f"damaged job record {name} backed up as {exc.backup.name} ({exc})"
+
+
+def _tombstone_note(outcome, repaired: bool) -> str:
+    from repro.service import retention as r
+
+    job, detail = outcome.job_id, outcome.detail
+    return {
+        r.DAMAGED: f"damaged tombstone for job {job}"
+        + (" backed up (condemns nothing)" if repaired else "")
+        + f": {detail}",
+        r.REFUSED: f"tombstone for non-terminal job {job} (state {detail}) "
+        "refused" + ("; backed up" if repaired else ""),
+        r.COMPLETED: f"interrupted reclamation of job {job} completed "
+        "(sealed tombstone)",
+        r.LEFT: f"reclamation of job {job} {r.LEFT_CAMPAIGN_DIR}",
+        r.PENDING: f"job {job} is condemned by a sealed tombstone; "
+        "reclamation incomplete (gc or fsck repair finishes it)",
+    }[outcome.status]
+
+
 def _check_archive(
-    archive: Path,
-    manifest: CampaignManifest | None,
-    known: dict[str, str],
-    report: FsckReport,
+    archive: Path, known: dict[str, str] | None, report: FsckReport
 ) -> None:
     """Verify every entry of one ``.calipack`` against index + seal."""
     try:
@@ -668,27 +640,13 @@ def _check_archive(
         )
         return
     for entry in entries:
-        status, detail = calipack.verify_entry(archive, entry)
-        cell = known.get(entry.name)
-        if (
-            status in (STATUS_OK, STATUS_UNSEALED)
-            and manifest is not None
-            and cell is None
-        ):
-            status, detail = (
-                STATUS_ORPHANED,
-                "not recorded in the campaign manifest",
-            )
-        report.checks.append(
-            ProfileCheck(
-                path=Path(calipack.member_ref(archive, entry.name)),
-                status=status,
-                detail=detail,
-                cell=cell,
-                archive=archive,
-                entry=entry.name,
-            )
-        )
+        report.checks.append(_verdict(
+            Path(calipack.member_ref(archive, entry.name)),
+            *calipack.verify_entry(archive, entry),
+            known,
+            archive=archive,
+            entry=entry.name,
+        ))
 
 
 def _quarantine_archive_entries(
@@ -721,22 +679,3 @@ def _quarantine_archive_entries(
     ))
     durable_replace(tmp, archive)
 
-
-def _finish(
-    report: FsckReport,
-    manifest: CampaignManifest | None,
-    mark_rerun: bool,
-) -> FsckReport:
-    bad = [c for c in report.checks if c.quarantinable]
-    if mark_rerun and manifest is not None:
-        for check in bad:
-            if check.cell is not None:
-                manifest.mark_for_rerun(
-                    check.cell, f"{check.status} profile quarantined by fsck"
-                )
-                report.rerun_cells.append(check.cell)
-        if report.rerun_cells:
-            manifest.save()
-            manifest.compact()
-
-    return report

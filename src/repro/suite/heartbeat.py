@@ -25,6 +25,11 @@ import time
 from collections.abc import Callable
 
 
+def beat_interval(timeout: float) -> float:
+    """How often a child beats: a fifth of its staleness deadline."""
+    return max(timeout / 5.0, 0.02)
+
+
 class HeartbeatEmitter:
     """Daemon thread that calls ``send(seq)`` every ``interval`` seconds.
 

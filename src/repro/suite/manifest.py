@@ -66,7 +66,7 @@ MANIFEST_VERSION = 1
 LOCK_NAME = "campaign_manifest.lock"
 
 
-def _pid_alive(pid: Any) -> bool:
+def pid_alive(pid: Any) -> bool:
     """Whether ``pid`` names a live process we could signal.
 
     A zombie (exited, not yet reaped — an orphan whose new parent never
@@ -89,14 +89,19 @@ def _pid_alive(pid: Any) -> bool:
     return stat.rpartition(")")[2].split()[:1] != ["Z"]
 
 
-def lock_holder(directory: str | Path) -> int | None:
-    """The pid recorded in a campaign directory's lock (None: no lock,
-    or an unreadable one)."""
+def _read_lease(path: str | Path) -> dict[str, Any]:
+    """A PID lease's payload; empty when absent or unreadable."""
     try:
-        holder = json.loads((Path(directory) / LOCK_NAME).read_text())
+        lease = json.loads(Path(path).read_text())
     except (OSError, ValueError):
-        return None
-    pid = holder.get("pid") if isinstance(holder, dict) else None
+        return {}
+    return lease if isinstance(lease, dict) else {}
+
+
+def lease_pid(path: str | Path) -> int | None:
+    """The pid a PID lease records — a campaign lock, a job's scheduler
+    lease or a takeover token (None: absent, or unreadable)."""
+    pid = _read_lease(path).get("pid")
     return pid if isinstance(pid, int) else None
 
 
@@ -104,8 +109,21 @@ def campaign_is_live(directory: str | Path) -> bool:
     """Whether a live campaign other than this process holds the
     directory's lock: the one liveness test for campaign directories
     (fsck, ``shard-status``, the chaos harness)."""
-    pid = lock_holder(directory)
-    return _pid_alive(pid) and pid != os.getpid()
+    pid = lease_pid(Path(directory) / LOCK_NAME)
+    return pid_alive(pid) and pid != os.getpid()
+
+
+def manifest_cells(path: str | Path) -> dict[str, dict[str, Any]]:
+    """The cells of the campaign manifest at ``path``, ledger replayed;
+    empty when it is missing or unreadable (the tolerant reader for
+    progress, cost and invariant queries)."""
+    try:
+        manifest = CampaignManifest.read(path)
+    except (OSError, ValueError):
+        return {}
+    if manifest is None:
+        return {}
+    return {k: v for k, v in manifest.cells.items() if isinstance(v, dict)}
 
 
 @dataclass
@@ -151,13 +169,9 @@ class CampaignLock:
             # looks stale while its owner believes it holds the lock.
             create_exclusive(path, lease.encode())
         except FileExistsError:
-            holder: dict[str, Any] = {}
-            try:
-                holder = json.loads(path.read_text())
-            except (OSError, ValueError):
-                pass  # unreadable lease: treat as stale
+            holder = _read_lease(path)  # unreadable: treat as stale
             holder_pid = holder.get("pid")
-            if _pid_alive(holder_pid) and holder_pid != os.getpid():
+            if pid_alive(holder_pid) and holder_pid != os.getpid():
                 raise CampaignLockedError(
                     str(path), holder_pid, holder.get("acquired_at")
                 ) from None
@@ -174,12 +188,8 @@ class CampaignLock:
             try:
                 create_exclusive(token, claim)
             except FileExistsError:
-                claimant: Any = None
-                try:
-                    claimant = json.loads(token.read_text()).get("pid")
-                except (OSError, ValueError):
-                    pass
-                if not _pid_alive(claimant):
+                claimant = lease_pid(token)
+                if not pid_alive(claimant):
                     token.unlink(missing_ok=True)
                 raise CampaignLockedError(
                     str(path), claimant, holder.get("acquired_at")

@@ -100,12 +100,15 @@ class RunReport:
 
     def summary(self) -> str:
         """One-paragraph human summary for CLI output."""
-        counts = self.counts()
-        parts = [f"{counts.get(s, 0)} {s}" for s in ALL_STATUSES if counts.get(s)]
-        lines = [
-            f"{len(self.records)} kernel runs across {len(self.cells)} cells: "
-            + (", ".join(parts) if parts else "nothing ran")
-        ]
+        if self.cells and not self.records:
+            # A shard coordinator books cells; its shards ran the kernels.
+            counts = self.cell_counts()
+            head = f"{len(self.cells)} cells: "
+        else:
+            counts = self.counts()
+            head = f"{len(self.records)} kernel runs across {len(self.cells)} cells: "
+        parts = [f"{counts[s]} {s}" for s in ALL_STATUSES if counts.get(s)]
+        lines = [head + (", ".join(parts) if parts else "nothing ran")]
         for record in self.failed:
             lines.append(
                 f"  FAILED {record.kernel} [{record.cell}] "

@@ -74,7 +74,6 @@ class RunParams:
     # --- supervised multi-process execution (see supervisor.py) ---
     workers: int = 1  # >1 fans cells out to a supervised worker pool
     heartbeat_timeout: float = 30.0  # seconds without a worker heartbeat = stale
-    heartbeat_interval: float | None = None  # emit cadence (default timeout/5)
     # --- sharded scale-out execution (see coordinator.py) ---
     shards: int = 0  # >0 partitions cells across shard supervisors
     shard_lease_timeout: float = 30.0  # seconds without a shard beat = stale
@@ -116,10 +115,6 @@ class RunParams:
             raise ValueError(
                 f"heartbeat_timeout must be > 0, got {self.heartbeat_timeout}"
             )
-        if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be > 0, got {self.heartbeat_interval}"
-            )
         if self.fail_fast and self.workers > 1:
             raise ValueError(
                 "fail_fast is incompatible with workers > 1: a supervised "
@@ -159,12 +154,6 @@ class RunParams:
                 raise ValueError(
                     f"batch_cells must be >= 1, got {self.batch_cells}"
                 )
-
-    def effective_heartbeat_interval(self) -> float:
-        """How often workers beat (a fraction of the staleness deadline)."""
-        if self.heartbeat_interval is not None:
-            return self.heartbeat_interval
-        return max(self.heartbeat_timeout / 5.0, 0.02)
 
     def retry_policy(self):
         """The executor's :class:`~repro.suite.retry.RetryPolicy`."""

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,7 +86,7 @@ def shard_main(
     coordinator state (atexit hooks) runs.
     """
     from repro.suite.executor import SuiteExecutor
-    from repro.suite.heartbeat import HeartbeatEmitter
+    from repro.suite.heartbeat import HeartbeatEmitter, beat_interval
 
     shard_dir = shard_path(params.output_dir, index)
     shard_dir.mkdir(parents=True, exist_ok=True)
@@ -97,9 +99,7 @@ def shard_main(
         shards=0,
         resume=resume,
     )
-    beats = HeartbeatEmitter(
-        conn.send, max(params.shard_lease_timeout / 5.0, 0.02)
-    )
+    beats = HeartbeatEmitter(conn.send, beat_interval(params.shard_lease_timeout))
     beats.start()
 
     executor = SuiteExecutor(sparams, model_plan=model_plan)
@@ -115,19 +115,20 @@ def shard_main(
         )
 
     try:
-        result = executor._execute([task.cell() for task in tasks], write_files)
+        executor._execute([task.cell() for task in tasks], write_files)
     except CampaignLockedError:
         # A not-yet-reaped predecessor still holds the shard lock. Not a
         # crash: the coordinator retries shortly without charging the
         # respawn budget.
         os._exit(CAMPAIGN_LOCKED)
     except BaseException:
+        traceback.print_exc(file=sys.stderr)
         os._exit(UNCLEAN_RUN)  # abnormal completion: the coordinator heals
     finally:
         beats.stop()
     # Completion — clean or with recorded cell failures — is exit 0: the
     # shard had its chance, the manifest holds the verdicts.
-    os._exit(0 if result is not None else UNCLEAN_RUN)
+    os._exit(0)
 
 
 # ------------------------------------------------------------- progress
@@ -154,27 +155,23 @@ def shard_progress(
 ) -> ShardProgress:
     """Read one shard's manifest + lock into a :class:`ShardProgress`."""
     from repro.suite.manifest import (
+        LOCK_NAME,
         MANIFEST_NAME,
-        CampaignManifest,
         campaign_is_live,
-        lock_holder,
+        lease_pid,
+        manifest_cells,
     )
 
     shard_dir = shard_path(output_dir, index)
     progress = ShardProgress(index=index, assigned=len(assigned_keys))
-    try:
-        manifest = CampaignManifest.read(shard_dir / MANIFEST_NAME)
-    except (OSError, ValueError):
-        manifest = None
-    cells = manifest.cells if manifest is not None else {}
     assigned = set(assigned_keys)
-    for key, entry in cells.items():
-        if key not in assigned or not isinstance(entry, dict):
+    for key, entry in manifest_cells(shard_dir / MANIFEST_NAME).items():
+        if key not in assigned:
             continue
         if entry.get("status") == "ok":
             progress.ok += 1
         elif entry.get("status") == "failed":
             progress.failed += 1
-    progress.lock_pid = lock_holder(shard_dir)
+    progress.lock_pid = lease_pid(shard_dir / LOCK_NAME)
     progress.live = campaign_is_live(shard_dir)
     return progress

@@ -22,6 +22,9 @@ a kill is immediate. Each worker
   unless the process dies mid-send, which the supervisor reads as this
   worker's death alone. The worker blocks in ``recv`` between cells, so
   a supervisor that dies outright is EOF there, and the worker ends.
+  A worker busy in a cell learns it from its next beat, whose send
+  fails: it exits with the worker-crash status at once rather than
+  finish a cell nobody will collect.
 
 An ``exit`` fault at the ``worker.pre-cell`` site fires *before* the
 cell runs and calls ``os._exit`` with the worker-crash status — no
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from repro import faults
 from repro.cli.exitcodes import WORKER_CRASH
 from repro.machines.registry import get_machine
-from repro.suite.heartbeat import HeartbeatEmitter
+from repro.suite.heartbeat import HeartbeatEmitter, beat_interval
 from repro.suite.report import STATUS_FAILED, KernelRunRecord, cell_key
 from repro.suite.run_params import RunParams
 from repro.suite.session import CellOutcome
@@ -133,7 +136,13 @@ def worker_main(
         with send_lock:  # the heartbeat thread sends on the same pipe
             conn.send(message)
 
-    emitter = HeartbeatEmitter(send, params.effective_heartbeat_interval())
+    def beat(seq: int) -> None:
+        try:
+            send(seq)
+        except OSError:  # the supervisor is gone: drop the cell in hand
+            os._exit(WORKER_CRASH)
+
+    emitter = HeartbeatEmitter(beat, beat_interval(params.heartbeat_timeout))
     emitter.start()
     executor = SuiteExecutor(params, model_plan=model_plan)
     if write_files and params.pack:

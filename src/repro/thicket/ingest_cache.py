@@ -341,12 +341,6 @@ def _read_header_at(path: Path) -> tuple[dict, int] | None:
     return header, len(head) + fields["header"]
 
 
-def _read_header(path: Path) -> dict | None:
-    """Head line + header JSON only — no blob read, ``hcrc``-verified."""
-    got = _read_header_at(path)
-    return None if got is None else got[0]
-
-
 def _peek_sources(
     path: Path, header: dict, blob_base: int
 ) -> list[list[str]] | None:
@@ -411,9 +405,6 @@ class ColumnStore:
         self._columns: dict[str, dict] = {
             c["name"]: c for c in spec["columns"]
         }
-
-    def column_names(self) -> list[str]:
-        return list(self._columns)
 
     def load_columns(
         self, names: "frozenset[str] | set[str] | None" = None

@@ -404,10 +404,6 @@ def _aggregate(values: np.ndarray, agg: str) -> float:
     return float(fn(values))
 
 
-def _profile_id(profile: CaliProfile, index: int) -> str:
-    return ingest.profile_id(profile.globals, index)
-
-
 def _resolve_where(where: "Expr | str | None") -> "Expr | None":
     """Normalize a ``where=`` argument: expression, query string, None."""
     if where is None or isinstance(where, Expr):

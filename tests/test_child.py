@@ -25,7 +25,7 @@ import pytest
 
 from repro.cli import exitcodes
 from repro.faults import Fault, FaultPlan
-from repro.suite import RunParams, SuiteExecutor
+from repro.suite import RunParams, SuiteExecutor, heartbeat
 from repro.util import child
 
 _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -260,6 +260,40 @@ def test_sigkill_supervisor_ends_every_worker(tmp_path):
         want=2,
     )
     assert len(ended) >= 2
+
+
+_BEATING_CELLS = r"""
+import pathlib, sys, time
+from repro.suite import RunParams, SuiteExecutor
+
+def busy_cell(self, cell, write_files):
+    pathlib.Path(sys.argv[2]).touch()  # a worker is inside a cell
+    time.sleep(60)  # busy, not wedged: the emitter keeps beating
+
+SuiteExecutor.run_cell = busy_cell  # before the supervisor forks
+SuiteExecutor(RunParams(
+    problem_size=1024, machines=("SPR-DDR",),
+    variants=("Base_Seq", "RAJA_Seq"), kernels=("Basic_DAXPY",),
+    trials=4, workers=2, heartbeat_timeout=1.0, output_dir=sys.argv[1],
+)).run(write_files=True)
+"""
+
+
+def test_sigkill_supervisor_ends_workers_busy_in_a_cell(tmp_path):
+    """A worker inside a cell when its supervisor dies must not run the
+    cell to the end: its next beat fails, and it exits 73 then."""
+    ready = tmp_path / "in-cell"
+    _, ended = _sigkill_parent(
+        tmp_path,
+        [sys.executable, "-c", _BEATING_CELLS, str(tmp_path / "c"), str(ready)],
+        want=2,
+        ready_file=str(ready),
+    )
+    assert len(ended) == 2
+    interval = heartbeat.beat_interval(1.0)
+    for _parent, code, seconds in ended.values():
+        assert code == exitcodes.WORKER_CRASH
+        assert seconds < 2 * interval + 1.0
 
 
 def test_sigkill_coordinator_orphans_exit_74_and_their_workers_end(tmp_path):

@@ -41,7 +41,12 @@ from repro.service.jobstore import (
 )
 from repro.service.retention import (
     COMPACT_SCRATCH_SUFFIX,
+    COMPLETED,
+    DAMAGED,
+    LEFT,
+    REFUSED,
     RetentionPolicy,
+    TombstoneOutcome,
     collect_job,
     compact_archive,
     complete_tombstones,
@@ -229,7 +234,7 @@ def test_sealed_tombstone_resumes_interrupted_reclamation(tmp_path):
     store.write_tombstone(record, "interrupted")
     # Simulate a crash mid-delete: one file already gone, rest intact.
     (store.campaign_dir("half") / "data.cali").unlink()
-    assert complete_tombstones(store) == ["half"]
+    assert complete_tombstones(store) == [TombstoneOutcome("half", COMPLETED)]
     assert _residue(store, "half") == []
     # Idempotent: a second pass finds nothing.
     assert complete_tombstones(store) == []
@@ -241,7 +246,8 @@ def test_damaged_tombstone_condemns_nothing(tmp_path):
     path = store.write_tombstone(record, "about to be torn")
     path.write_text(path.read_text()[:20])
     with pytest.warns(UserWarning):
-        assert complete_tombstones(store) == []
+        outcomes = complete_tombstones(store)
+    assert [(o.job_id, o.status) for o in outcomes] == [("safe", DAMAGED)]
     assert store.load("safe") is not None
     assert (store.campaign_dir("safe") / "data.cali").exists()
     backup = path.with_suffix(path.suffix + ".bak")
@@ -260,7 +266,9 @@ def test_tombstone_for_non_terminal_record_is_refused(tmp_path):
     }
     path = store.tombstone_path("live")
     path.write_text(seal_tombstone(payload))
-    assert complete_tombstones(store) == []
+    assert complete_tombstones(store) == [
+        TombstoneOutcome("live", REFUSED, STATE_QUEUED)
+    ]
     assert store.load("live") is not None
     assert path.with_suffix(path.suffix + ".bak").exists()
 
@@ -306,10 +314,10 @@ def test_reclaim_keeps_its_tombstone_until_the_tree_is_gone(
         return real_fault_point(site, path=path, **kwargs)
 
     monkeypatch.setattr(retention, "fault_point", late_writer)
-    assert complete_tombstones(store) == []
+    assert complete_tombstones(store) == [TombstoneOutcome("late", LEFT)]
     assert _residue(store, "late") == ["record", "tombstone", "campaign"]
     monkeypatch.setattr(retention, "fault_point", real_fault_point)
-    assert complete_tombstones(store) == ["late"]
+    assert complete_tombstones(store) == [TombstoneOutcome("late", COMPLETED)]
     assert _residue(store, "late") == []
 
 

@@ -194,9 +194,9 @@ def test_a_tick_without_cancel_markers_reads_each_record_once(
     loads = []
     real_load = JobStore.load
 
-    def counting(self, job_id):
+    def counting(self, job_id, *args, **kwargs):
         loads.append(job_id)
-        return real_load(self, job_id)
+        return real_load(self, job_id, *args, **kwargs)
 
     monkeypatch.setattr(JobStore, "load", counting)
     JobScheduler(store).tick()

@@ -310,6 +310,24 @@ def test_shard_status_reports_per_shard_progress(tmp_path, capsys):
     assert main(["shard-status", str(plain)]) == 1
 
 
+def test_sharded_run_summary_counts_cells_and_profiles(tmp_path, capsys):
+    """The coordinator books cells, not kernel runs, and its profiles
+    stay in the merged archive: the summary reports both from there."""
+    argv = ["run", "--size", "1024", "--machines", "SPR-DDR",
+            "--variants", "Base_Seq", "--kernels", "Basic_DAXPY",
+            "--trials", "2", "--shards", "2", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["2 profiles, 1 kernels each", "2 cells: 2 ok"]
+    assert main(argv + ["--resume"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "2 profiles, 1 kernels each",
+        "2 cells: 2 skipped",
+        "  2 cell(s) skipped (already complete in manifest)",
+    ]
+
+
 def _owing_shard(tmp_path):
     """A one-shard campaign map whose shard still owes two cells."""
     (tmp_path / "shard_map.json").write_text(json.dumps({

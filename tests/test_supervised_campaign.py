@@ -357,8 +357,6 @@ def test_run_params_validate_supervision_knobs():
         RunParams(workers=0)
     with pytest.raises(ValueError, match="heartbeat"):
         RunParams(heartbeat_timeout=0.0)
-    with pytest.raises(ValueError, match="heartbeat"):
-        RunParams(heartbeat_interval=-1.0)
 
 
 def test_workers_do_not_change_campaign_fingerprint(tmp_path):
