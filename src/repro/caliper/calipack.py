@@ -35,6 +35,17 @@ supervisor runs exactly this when merging per-worker segments.
 
 Member references use ``<archive>::<entry name>`` strings (manifest
 ``file`` fields, CLI arguments, fsck reports).
+
+Each sealed index entry also carries the entry's schema (scalar globals
+as ``attrs``, metric names as ``metrics``) for index pushdown. It is a
+pure function of the entry's bytes, computed once where the bytes are
+made and carried from then on: the writer that serializes a profile
+derives it from the profile (:func:`profile_schema`), and a rewrite
+carries it from a CRC-verified source index for every entry whose bytes
+still match that index's CRC (:func:`carried_entries`; a writer
+reopening a sealed archive does the same). Only the rest —
+salvaged segments, loose files, indexes without schemas, CRC mismatches
+— is parsed from the bytes at seal time (:func:`extract_entry_schema`).
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import BinaryIO
 
-from repro.caliper.cali import _analyze_bytes, serialize_cali
+from repro.caliper.cali import _analyze_bytes, _jsonable, serialize_cali
 from repro.caliper.records import CaliProfile
 from repro.faults import fault_point
 from repro.util.fsio import durable_replace, fsync_dir, tmp_sibling
@@ -83,6 +94,9 @@ class CalipackError(ValueError):
 #: attribute exists but cannot be compared at the index level, so a
 #: predicate referencing it never skips the entry.
 NONSCALAR_ATTR: Mapping[str, bool] = MappingProxyType({"__nonscalar__": True})
+
+#: one entry's indexed schema: ``(attrs, metric names)``
+EntrySchema = tuple[dict, list[str]]
 
 
 @dataclass(frozen=True)
@@ -153,10 +167,22 @@ class CalipackWriter:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._entries: dict[str, ArchiveEntry] = {}
+        # Schemas known without a parse, by entry name (see _collect_schemas).
+        self._schemas: dict[str, EntrySchema] = {}
         if self.path.exists():
             entries, good_end = scan_entries(self.path)
+            try:
+                indexed = {e.name: e for e in sealed_index(self.path).entries}
+            except CalipackError:  # unsealed: the scan is all there is
+                indexed = {}
             for entry in entries:
                 self._entries[entry.name] = entry
+                # The scan CRCs the bytes, so an equal frame holds the
+                # very bytes the verified index sealed.
+                if indexed.get(entry.name) == entry:
+                    schema = _vouched_schema(indexed[entry.name])
+                    if schema is not None:
+                        self._schemas[entry.name] = schema
             self._handle = open(self.path, "r+b")
             self._handle.truncate(good_end)
             self._handle.seek(good_end)
@@ -177,13 +203,19 @@ class CalipackWriter:
         return list(self._entries.values())
 
     def append_bytes(
-        self, name: str, data: bytes, interrupted: bool = False
+        self,
+        name: str,
+        data: bytes,
+        interrupted: bool = False,
+        schema: EntrySchema | None = None,
     ) -> ArchiveEntry:
         """Append one sealed ``.cali`` blob under ``name``.
 
-        ``interrupted`` (or a fault at ``calipack.append``) simulates an
-        append cut off half-way: part of the entry lands, then
-        ``OSError``.
+        ``schema`` is the entry's indexed schema when the caller already
+        knows it (it must equal ``extract_entry_schema(data)``); None
+        means ``close`` parses the bytes. ``interrupted`` (or a fault at
+        ``calipack.append``) simulates an append cut off half-way: part
+        of the entry lands, then ``OSError``, and nothing is recorded.
         """
         if self._closed:
             raise ValueError(f"writer for {self.path} is closed")
@@ -219,37 +251,46 @@ class CalipackWriter:
             crc32=zlib.crc32(data) & 0xFFFFFFFF,
         )
         self._entries[name] = entry
+        if schema is None:
+            self._schemas.pop(name, None)
+        else:
+            self._schemas[name] = schema
         return entry
 
     def append_profile(self, name: str, profile: CaliProfile) -> ArchiveEntry:
         """Serialize and append one profile under ``name``."""
-        return self.append_bytes(name, serialize_cali(profile))
+        return self.append_bytes(
+            name, serialize_cali(profile), schema=profile_schema(profile)
+        )
 
     def _collect_schemas(
         self,
-    ) -> tuple[dict[str, tuple[dict, list[str]]], dict[str, list[str]]]:
+    ) -> tuple[dict[str, EntrySchema], dict[str, list[str]]]:
         """Indexed (attrs, metrics) per entry + the archive column registry.
 
-        Both are recomputed from the stored entry bytes at seal time —
-        never carried from a source index — so the sealed index is a
-        pure function of the entry set and canonical merges stay
-        byte-deterministic. Unparseable (damaged) entries contribute
-        nothing and simply get no schema.
+        The sealed index is a pure function of the entry bytes, so
+        canonical merges stay byte-deterministic. Each schema is
+        computed once, where its bytes were made: an entry appended with
+        a schema (derived from its profile, or carried from a verified
+        source index whose CRC its bytes match) keeps it; every other
+        entry is parsed from its stored bytes here. Unparseable
+        (damaged) entries contribute nothing and simply get no schema.
         """
-        schema_by_name: dict[str, tuple[dict, list[str]]] = {}
+        schema_by_name: dict[str, EntrySchema] = {}
         metrics: dict[str, None] = {}
         globals_: dict[str, None] = {}
         for entry in self._entries.values():
-            self._handle.seek(entry.offset)
-            data = self._handle.read(entry.length)
-            schema = extract_entry_schema(data)
+            schema = self._schemas.get(entry.name)
             if schema is None:
-                continue
-            attrs, entry_metrics, entry_globals = schema
-            schema_by_name[entry.name] = (attrs, entry_metrics)
+                self._handle.seek(entry.offset)
+                schema = extract_entry_schema(self._handle.read(entry.length))
+                if schema is None:
+                    continue
+            attrs, entry_metrics = schema
+            schema_by_name[entry.name] = schema
             for name in entry_metrics:
                 metrics.setdefault(name)
-            for name in entry_globals:
+            for name in attrs:
                 globals_.setdefault(name)
         return schema_by_name, {
             "metrics": list(metrics),
@@ -347,10 +388,14 @@ class ArchiveSink:
             self._writer = CalipackWriter(self.path)
         fault = fault_point("profile.seal", path=name)
         action = fault.action if fault is not None else ""
+        corrupt = action == "corrupt"
         self._writer.append_bytes(
             name,
-            serialize_cali(profile, corrupt_crc=action == "corrupt"),
+            serialize_cali(profile, corrupt_crc=corrupt),
             interrupted=action == "raise",
+            # A wrongly sealed entry is parsed at close, found damaged,
+            # and indexed without a schema.
+            schema=None if corrupt else profile_schema(profile),
         )
         return member_ref(self.ref_archive, name)
 
@@ -492,16 +537,14 @@ def load_index(path: str | Path) -> list[ArchiveEntry]:
     return list(sealed_index(path).entries)
 
 
-def extract_entry_schema(
-    data: bytes,
-) -> tuple[dict, list[str], list[str]] | None:
-    """``(attrs, metric_names, global_names)`` from sealed ``.cali`` bytes.
+def extract_entry_schema(data: bytes) -> EntrySchema | None:
+    """``(attrs, metric_names)`` parsed from sealed ``.cali`` bytes.
 
-    ``attrs`` maps each global to its scalar value, or to
-    :data:`NONSCALAR_ATTR` when the value is structured. Metric names
-    come back in document (first-seen walk) order, matching the column
-    order the columnar composer produces. Damaged or non-JSON entries
-    return None.
+    ``attrs`` maps each global, in document order, to its scalar value,
+    or to :data:`NONSCALAR_ATTR` when the value is structured. Metric
+    names come back in document (first-seen walk) order, matching the
+    column order the columnar composer produces. Damaged or non-JSON
+    entries return None.
     """
     status, _, payload = _analyze_bytes(data)
     if status not in ("ok", "unsealed"):
@@ -535,7 +578,54 @@ def extract_entry_schema(
         children = node.get("children")
         if isinstance(children, list):
             stack.extend(reversed(children))
-    return attrs, list(metrics), [str(k) for k in globals_]
+    return attrs, list(metrics)
+
+
+def profile_schema(profile: CaliProfile) -> EntrySchema | None:
+    """What :func:`extract_entry_schema` reads back from
+    ``serialize_cali(profile)``, without the round trip.
+
+    Global values are normalized the way the JSON payload normalizes
+    them: exact ``str``/``int``/``float``/``bool`` types, numpy scalars
+    through the serializer's hook, lists, tuples and dicts to
+    :data:`NONSCALAR_ATTR`. None when a global or metric key is not a
+    ``str`` (JSON would rename it): the writer then parses the bytes.
+    Call it only on a profile that serialized.
+    """
+    globals_ = profile.globals
+    if type(globals_) is not dict or any(type(k) is not str for k in globals_):
+        return None
+    attrs = {key: _index_attr(value) for key, value in globals_.items()}
+    metrics: dict[str, None] = {}
+    for node in profile.walk():
+        for name in node.metrics:
+            if type(name) is not str:
+                return None
+            metrics.setdefault(name)
+    return attrs, list(metrics)
+
+
+def _index_attr(value: object) -> object:
+    """One global's index value, as its serialized payload parses back."""
+    if value is None or type(value) in (str, int, float, bool):
+        return value
+    if isinstance(value, (list, tuple, dict)):
+        return dict(NONSCALAR_ATTR)
+    # A scalar subclass or a numpy scalar: exactly what the JSON reads as.
+    return json.loads(json.dumps(value, default=_jsonable))
+
+
+def _vouched_schema(entry: ArchiveEntry) -> EntrySchema | None:
+    """A sealed index entry's schema in the writer's (JSON-ready) form;
+    None for an entry read without one (a salvage scan, an index that
+    predates schemas)."""
+    if entry.attrs is None or entry.metrics is None:
+        return None
+    attrs = {
+        name: dict(NONSCALAR_ATTR) if is_nonscalar_attr(value) else value
+        for name, value in entry.attrs.items()
+    }
+    return attrs, list(entry.metrics)
 
 
 def is_nonscalar_attr(value: object) -> bool:
@@ -654,17 +744,18 @@ def verify_entry(path: str | Path, entry: ArchiveEntry) -> tuple[str, str]:
 
 # --------------------------------------------------------------- conversion
 def write_archive(path: Path, items) -> None:
-    """Write a fresh sealed archive at ``path`` from ``(name, bytes)``
-    pairs, in order — the one rebuild every rewrite of an archive uses.
+    """Write a fresh sealed archive at ``path`` from ``(name, bytes,
+    schema)`` triples, in order — the one rebuild every rewrite of an
+    archive uses. A None schema is parsed from the bytes at seal time.
 
-    Any error while the pairs are produced or appended aborts the writer
+    Any error while the items are produced or appended aborts the writer
     and removes the partial file before it propagates; the caller owns
     the scratch name and the swap into place.
     """
     writer = CalipackWriter(path)
     try:
-        for name, data in items:
-            writer.append_bytes(name, data)
+        for name, data, schema in items:
+            writer.append_bytes(name, data, schema=schema)
     except BaseException:
         writer.abort()
         path.unlink(missing_ok=True)
@@ -692,10 +783,12 @@ def pack_directory(
 
     def items():
         if target.exists():  # repack: carry existing entries over
-            for entry in load_entries(target):
-                yield entry.name, read_entry_bytes(target, entry)
+            yield from carried_entries(
+                ((target, entry) for entry in load_entries(target)),
+                verify=True,
+            )
         for path in files:
-            yield path.name, path.read_bytes()
+            yield path.name, path.read_bytes(), None
 
     write_archive(tmp, items())
     durable_replace(tmp, target)
@@ -779,6 +872,22 @@ def _natural_key(name: str) -> tuple:
     )
 
 
+def carried_entries(pairs, verify: bool = False):
+    """``(name, bytes, schema)`` for each ``(archive, entry)`` pair, ready
+    for :func:`write_archive`: the entry's stored bytes, and the schema
+    its source's verified index holds for them when the bytes still
+    match that index's CRC. Otherwise (no schema in the index, bytes
+    changed since) the schema is None and the seal parses the bytes.
+
+    ``verify`` raises on a CRC mismatch; without it damaged bytes carry
+    over verbatim and are parsed (and found damaged) at seal time.
+    """
+    for archive, entry in pairs:
+        data = read_entry_bytes(archive, entry, verify=verify)
+        vouched = zlib.crc32(data) & 0xFFFFFFFF == entry.crc32
+        yield entry.name, data, _vouched_schema(entry) if vouched else None
+
+
 def _merge_archives(sources: list[Path], target: Path) -> Path:
     """Fold ``sources`` (in order, last-wins) into ``target`` canonically.
 
@@ -787,7 +896,10 @@ def _merge_archives(sources: list[Path], target: Path) -> Path:
     no matter how many segments or shards produced it, or in what
     completion order entries arrived, the same entries give the same
     archive — the property the sharded merge's bit-identity guarantee
-    rests on.
+    rests on. Each entry's schema is carried from its source's
+    CRC-verified index when its bytes match that index's CRC, and
+    parsed otherwise (salvaged segments, older indexes), which gives the
+    same index either way.
     """
     entries: dict[str, tuple[Path, ArchiveEntry]] = {}
     for source in sources:
@@ -797,10 +909,7 @@ def _merge_archives(sources: list[Path], target: Path) -> Path:
     # verify=False: damaged entries carry over byte-for-byte — detecting
     # and quarantining them is fsck's job, and a merge must never fail a
     # campaign over one bad profile.
-    write_archive(tmp, (
-        (name, read_entry_bytes(*entries[name], verify=False))
-        for name in sorted(entries)
-    ))
+    write_archive(tmp, carried_entries(entries[name] for name in sorted(entries)))
     durable_replace(tmp, target)
     return target
 

@@ -468,8 +468,12 @@ def _service_admission_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from repro.suite.errors import CampaignLockedError
     from repro.suite.executor import SuiteExecutor
+    from repro.suite.manifest import MANIFEST_NAME, manifest_cells
+    from repro.suite.report import STATUS_OK
 
     try:
         params = RunParams(
@@ -515,9 +519,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return exitcodes.CAMPAIGN_LOCKED
     for path in result.cali_paths:
         print(f"wrote {path}")
-    # A sharded run's profiles stay in its merged archive: count its refs.
-    print(f"{len(result.profiles or result.cali_paths)} profiles, "
-          f"{len(executor.selected_kernels())} kernels each")
+    # What the campaign holds, whichever run made it (a resume, a shard):
+    # the manifest's ok cells that have a profile.
+    cells = manifest_cells(Path(params.output_dir) / MANIFEST_NAME)
+    held = sum(
+        1 for cell in cells.values()
+        if cell.get("status") == STATUS_OK and cell.get("file")
+    )
+    print(f"{held} profiles, {len(executor.selected_kernels())} kernels each")
     print(result.report.summary())
     if result.report.interrupted:
         return exitcodes.INTERRUPTED

@@ -552,7 +552,10 @@ def compact_archive(
     # pass of this same process must not be resumed into (the writer's
     # resume semantics would keep its frames as superseded duplicates).
     scratch.unlink(missing_ok=True)
-    write_archive(scratch, sorted(kept.items()))
+    # Frames from a raw scan carry no verified schema: the seal parses them.
+    write_archive(scratch, (
+        (name, data, None) for name, data in sorted(kept.items())
+    ))
     fault_point("retention.pre-compact-swap", path=path, torn_file=scratch)
     rebuilt = scratch.read_bytes()
     if rebuilt == path.read_bytes():

@@ -672,10 +672,8 @@ def _quarantine_archive_entries(
         )
         report.quarantined.append(target)
     tmp = tmp_sibling(archive)
-    calipack.write_archive(tmp, (
-        (entry.name, calipack.read_entry_bytes(archive, entry, verify=False))
-        for entry in entries
-        if entry.name not in drop
+    calipack.write_archive(tmp, calipack.carried_entries(
+        (archive, entry) for entry in entries if entry.name not in drop
     ))
     durable_replace(tmp, archive)
 

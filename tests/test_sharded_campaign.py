@@ -328,6 +328,29 @@ def test_sharded_run_summary_counts_cells_and_profiles(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("pack", [[], ["--pack"]], ids=["loose", "packed"])
+def test_unsharded_resume_counts_the_profiles_the_campaign_holds(
+    tmp_path, capsys, pack
+):
+    """A resume that skips every cell reports the campaign's profiles
+    by the same rule as a sharded run: the manifest's ok cells."""
+    argv = ["run", "--size", "1024", "--machines", "SPR-DDR",
+            "--variants", "Base_Seq", "--kernels", "Basic_DAXPY",
+            "--trials", "2", "--output-dir", str(tmp_path), *pack]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        "2 profiles, 1 kernels each", "2 kernel runs across 2 cells: 2 ok"
+    ]
+    assert main(argv + ["--resume"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "2 profiles, 1 kernels each",
+        "2 cells: 2 skipped",
+        "  2 cell(s) skipped (already complete in manifest)",
+    ]
+
+
 def _owing_shard(tmp_path):
     """A one-shard campaign map whose shard still owes two cells."""
     (tmp_path / "shard_map.json").write_text(json.dumps({
@@ -419,14 +442,18 @@ def _noop():
     pass
 
 
-def _contend(outdir, barrier, queue):
-    barrier.wait()
+def _contend(outdir, start, tried, queue):
+    start.wait()
     try:
         lock = CampaignLock.acquire(outdir)
-        queue.put(("won", os.getpid()))
-        lock.release()
     except CampaignLockedError:
-        queue.put(("locked", os.getpid()))
+        lock = None
+    queue.put(("locked" if lock is None else "won", os.getpid()))
+    # Hold the outcome until both have tried: a winner releasing at once
+    # would hand a late-scheduled contender a free lock to win as well.
+    tried.wait(30)
+    if lock is not None:
+        lock.release()
 
 
 def test_stale_lease_takeover_race_has_exactly_one_winner(tmp_path):
@@ -440,10 +467,10 @@ def test_stale_lease_takeover_race_has_exactly_one_winner(tmp_path):
         json.dumps({"pid": dead.pid, "acquired_at": "2026-01-01T00:00:00"})
     )
 
-    barrier = _CTX.Barrier(2)
+    start, tried = _CTX.Barrier(2), _CTX.Barrier(2)
     queue = _CTX.Queue()
     contenders = [
-        _CTX.Process(target=_contend, args=(tmp_path, barrier, queue))
+        _CTX.Process(target=_contend, args=(tmp_path, start, tried, queue))
         for _ in range(2)
     ]
     for p in contenders:
