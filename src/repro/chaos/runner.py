@@ -1,34 +1,63 @@
 """The chaos trial runner: crash everywhere, prove recovery converges.
 
-For every registered crash point (and campaign mode it applies to) the
-runner executes the full production loop against a small but real
-campaign:
+Every registered crash point names, as its :class:`~repro.faults.Site`
+``phase``, the process it arms. :data:`PHASES` gives each phase one row
+— a seed step, an armed child body, a quiesce rule, a recovery body and
+the phase's own invariants — and one skeleton
+(:meth:`ChaosRunner._trial`) drives every row, for every point and
+campaign mode it applies to, through the same loop against a small but
+real campaign:
 
-1. **run (armed)** — a forked child installs an ``exit``
-   :class:`~repro.faults.Fault` at the point and runs
-   the campaign; the strike is a genuine ``os._exit`` mid-write — no
-   ``finally`` blocks, no atexit, locks left held, tmp files left
-   behind. A token file scoped to the trial makes the strike fire
-   exactly once even when a supervised pool respawns the crashed
-   worker.
-2. **post-crash audit** — whatever the crash left on disk must already
-   satisfy the atomicity half of the contract: the manifest parses,
-   loose profiles verify sealed (in-flight writes may only ever leave
-   tmp siblings or an unsealed archive tail).
-3. **fsck** — quarantine damage, demote damaged cells
-   (:func:`~repro.suite.fsck.fsck_directory`).
-4. **resume (unarmed)** — a second child re-runs the campaign with
-   ``resume=True``; it must exit cleanly and leave a second ``fsck``
-   with nothing to repair.
-5. **analyze** — the recovered campaign is composed into Thicket frames
-   over four independent ingest paths (serial, parallel pool,
+1. **seed** — the row builds the store the armed child works on: an
+   empty campaign directory (``run``), an empty job-service root
+   (``service``), a copy of a converged service root holding two
+   SUCCEEDED packed jobs (``retention``), or a finished campaign
+   (``analyze``).
+2. **armed child** — a forked child installs an ``exit``
+   :class:`~repro.faults.Fault` at the point and runs the row's body:
+   the campaign; a scheduler over one submitted job (drained, for
+   ``service.mid-drain``); a retention GC pass that condemns the older
+   job, then a compaction of the survivor's archive; or an analysis
+   through the ingest cache. The strike is a genuine ``os._exit``
+   mid-write — no ``finally`` blocks, no atexit, locks left held, tmp
+   files left behind. A token file scoped to the trial makes the strike
+   fire exactly once even when a supervised pool respawns the crashed
+   worker. The child must exit 0 (the point never came due, or the
+   crash was healed in flight) or with the chaos code.
+3. **quiesce** — a killed coordinator or scheduler leaves its shard
+   supervisors or job runners to read its death as EOF and exit; the
+   row names the campaign locks and job leases whose holders must be
+   dead. A store still live after the row's timeout ends the trial
+   with a violation: an audit of a store that is still being written
+   would blame the wrong thing.
+4. **post-crash audit** — whatever the crash left on disk must already
+   satisfy the atomicity half of the contract: job records parse
+   sealed, the manifest parses, loose profiles verify sealed (in-flight
+   writes may only ever leave tmp siblings or an unsealed archive
+   tail).
+5. **fsck** — quarantine damage, demote damaged cells, finish a
+   reclamation a tombstone proves
+   (:func:`~repro.suite.fsck.fsck_directory`); I2: no completed cell
+   is forgotten.
+6. **recovery (unarmed)** — a second child does what a restart does:
+   resume the campaign, restart the service (with a client's
+   idempotent resubmit), or rerun the GC and compaction pass. It must
+   exit 0. The ``analyze`` row has none: step 7 reruns the analysis.
+7. **invariants** — the row's own (``run``: I3 and I1, plus I5 when
+   sharded; ``service``: I6; ``retention``: I7; ``analyze``: I1 against
+   the store before the crash), then a second fsck must find nothing
+   to repair, and I4: the campaign is composed into Thicket frames over
+   four independent ingest paths (serial, parallel pool,
    packed/unpacked complement, cold-store + warm-load cache) and each
    must be :meth:`~repro.dataframe.Frame.equals`-identical to the
    frames of an uncrashed golden campaign.
 
-Invariant definitions live in :mod:`repro.chaos.invariants`. Every
-trial is replayable: its schedule is a pure function of
-``(seed, point, mode, trial index)``.
+Every child — seed builds included — is spawned, waited for and killed
+through :mod:`repro.util.child`: one that outlives
+:data:`CHILD_TIMEOUT_S` is killed and the trial says so, and its own
+workers read its death as EOF. Invariant definitions live in
+:mod:`repro.chaos.invariants`. Every trial is replayable: its schedule
+is a pure function of ``(seed, point, mode, trial index)``.
 
 The runner also carries the harness :meth:`ChaosRunner.self_test` —
 it stages a loss with one repair deliberately suppressed and asserts
@@ -39,12 +68,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import multiprocessing
 import shutil
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from repro.caliper import calipack
 from repro.chaos import invariants
@@ -57,44 +87,202 @@ from repro.faults import (
     Site,
     install,
 )
+from repro.service.jobstore import params_from_spec
 from repro.suite.fsck import fsck_directory
+from repro.suite.manifest import campaign_is_live, lease_pid, pid_alive
 from repro.suite.run_params import RunParams
+from repro.suite.shard import SHARD_DIR
+from repro.util import child
 
 MODES = ("serial", "supervised", "sharded", "service")
 
 #: how long one child campaign may take before the trial is abandoned
 CHILD_TIMEOUT_S = 180.0
 
+#: the trial campaign, as a job spec: 4 cells, small, deterministic,
+#: fast to re-run (:func:`_trial_spec` sets the mode's knobs)
+TRIAL_SPEC = {
+    "problem_size": 1024,
+    "reps": 1,
+    "machines": ["SPR-DDR"],
+    "variants": ["Base_Seq", "RAJA_Seq"],
+    "kernels": ["Basic_DAXPY", "Stream_TRIAD"],
+    "trials": 2,
+    "shard_lease_timeout": 10.0,
+    "max_attempts": 3,
+    "retry_base_delay": 0.0,
+    "retry_max_delay": 0.0,
+    "retry_jitter": 0.0,
+    "heartbeat_timeout": 10.0,
+}
 
-def _effective_pack(mode: str, spec: Site) -> bool:
-    """Sharded campaigns always pack: the shard merge needs archives."""
-    return spec.pack or mode == "sharded"
+#: the service trial's job
+CHAOS_JOB_ID = "chaos-job"
+
+#: the retention trial's jobs, submission order = age order (the ids
+#: also sort that way: created_at has one-second granularity, and the
+#: deterministic tie-break inside a second is the job id)
+RETENTION_JOBS = ("gc-old", "gc-young")
 
 
-def _trial_params(output_dir: Path, mode: str, spec: Site) -> RunParams:
-    """The trial campaign: 4 cells, small, deterministic, fast to re-run."""
-    return RunParams(
-        problem_size=1024,
-        reps=1,
-        machines=("SPR-DDR",),
-        variants=("Base_Seq", "RAJA_Seq"),
-        kernels=("Basic_DAXPY", "Stream_TRIAD"),
-        trials=2,
-        execute=spec.execute,
-        pack=_effective_pack(mode, spec),
-        output_dir=str(output_dir),
-        workers=2 if mode == "supervised" else 1,
-        shards=2 if mode == "sharded" else 0,
-        shard_lease_timeout=10.0,
-        max_attempts=3,
-        retry_base_delay=0.0,
-        retry_max_delay=0.0,
-        retry_jitter=0.0,
-        heartbeat_timeout=10.0,
+def _trial_spec(mode: str, execute: bool = False, pack: bool = False) -> dict:
+    """The trial campaign in ``mode`` (a sharded one always packs:
+    :func:`~repro.service.jobstore.params_from_spec` forces it)."""
+    return {
+        **TRIAL_SPEC,
+        "execute": execute,
+        "pack": pack,
+        "workers": 2 if mode == "supervised" else 1,
+        "shards": 2 if mode == "sharded" else 0,
+    }
+
+
+def _sources(directory: Path, pack: bool) -> list[str]:
+    """The campaign's ingest sources, ordered by profile name.
+
+    Archive entries append in completion order, which resume
+    legitimately permutes — sorting by name on both the golden and
+    the recovered side makes frame comparison order-insensitive.
+    """
+    if pack:
+        archive = directory / calipack.ARCHIVE_NAME
+        names = sorted(e.name for e in calipack.load_entries(archive))
+        return [calipack.member_ref(archive, n) for n in names]
+    return sorted(str(p) for p in directory.glob("*.cali"))
+
+
+def _expected_cells(params: RunParams) -> set[str]:
+    from repro.suite.executor import SuiteExecutor
+
+    return {cell.key for cell in SuiteExecutor(params).build_cells()}
+
+
+def _spawn(target: Callable, *args) -> int | None:
+    """Run ``target(*args)`` in a child; its exit code, or None when it
+    outlived :data:`CHILD_TIMEOUT_S` (it is then killed and reaped).
+
+    Not a daemon: an armed campaign forks workers and shards."""
+    proc = child.spawn(target, *args, name="chaos-trial", daemon=False)
+    deadline = time.monotonic() + CHILD_TIMEOUT_S
+    try:
+        child.wait([proc], timeout=CHILD_TIMEOUT_S)
+        proc.join(max(0.0, deadline - time.monotonic()))  # EOF precedes exit
+        return None if proc.is_alive() else proc.exitcode
+    finally:
+        child.kill(proc)
+
+
+def _failed(what: str, code: int | None) -> str:
+    if code is None:
+        return f"{what} timed out after {CHILD_TIMEOUT_S} s"
+    return f"{what} failed with exit code {code}"
+
+
+# ------------------------------------------------------------ the trial table
+@dataclass
+class Trial:
+    """One trial's store, as its phase's steps see it."""
+
+    site: Site
+    mode: str
+    dir: Path  # the trial's scratch directory
+    root: Path  # what fsck repairs: the campaign, or the service root
+    campaign: Path  # the campaign the trial audits and analyzes
+    spec: dict  # that campaign, as a job spec
+    pre: Any = None  # what the seed step kept for the invariants
+
+    @property
+    def params(self) -> RunParams:
+        return params_from_spec(self.spec, self.campaign)
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One row of the trial table (see the module docstring).
+
+    ``seed(runner, trial)`` runs in the runner; ``armed(trial,
+    schedule)`` and ``recover(trial)`` are child bodies; ``check(trial,
+    snap)`` returns the phase's violations after recovery, ``snap``
+    being the post-crash snapshot of the campaign. The quiesce rule:
+    every campaign directory matching ``locks`` and every job lease
+    matching ``leases`` (globs under the root) is held by no live
+    process within ``quiesce_s``. ``job`` is the job whose campaign the
+    trial audits (None: the root is the campaign); ``pack`` packs the
+    campaign whatever the point needs.
+    """
+
+    seed: Callable[[ChaosRunner, Trial], None]
+    armed: Callable[[Trial, Fault], None]
+    check: Callable[[Trial, invariants.StoreSnapshot | None], list[str]]
+    recover: Callable[[Trial], None] | None = None
+    locks: tuple[str, ...] = ()
+    leases: tuple[str, ...] = ()
+    quiesce_s: float = 10.0
+    job: str | None = None
+    pack: bool = False
+
+
+def _quiesce(root: Path, row: Phase) -> str | None:
+    """Wait until no live process holds a campaign lock or job lease the
+    row names (orphans read their parent's death as EOF and exit); what
+    is still live after ``row.quiesce_s``, or None once quiescent."""
+    deadline = time.monotonic() + row.quiesce_s
+    while True:
+        live = [
+            f"campaign lock of {d.relative_to(root)}"
+            for pattern in row.locks
+            for d in sorted(root.glob(pattern))
+            if campaign_is_live(d)
+        ] + [
+            f"job lease {lease.relative_to(root)}"
+            for pattern in row.leases
+            for lease in sorted(root.glob(pattern))
+            if pid_alive(lease_pid(lease))
+        ]
+        if not live or time.monotonic() >= deadline:
+            return ", ".join(live) or None
+        time.sleep(0.1)
+
+
+def _new_trial(site: Site, mode: str, trialdir: Path) -> Trial:
+    row = PHASES[site.phase]  # an unknown phase fails loudly
+    root = trialdir / ("campaign" if row.job is None else "service")
+    campaign = root if row.job is None else root / "campaigns" / row.job
+    spec = _trial_spec(mode, site.execute, site.pack or row.pack)
+    return Trial(site, mode, trialdir, root, campaign, spec)
+
+
+# ---- run: the campaign itself
+def _seed_run(runner: ChaosRunner, trial: Trial) -> None:
+    """An empty campaign directory. For a serial merge point, plus
+    footer-less worker segments, so the startup salvage has something to
+    merge (serial runs never create segments on their own); two give
+    ``calipack.post-merge-unlink`` a genuinely *partial* deletion to
+    strike between."""
+    trial.campaign.mkdir()
+    count = {"calipack.mid-merge": 1, "calipack.post-merge-unlink": 2}.get(
+        trial.site.name, 0
     )
+    if trial.mode != "serial" or not count:
+        return
+    archive = runner._golden(trial.site)[0] / calipack.ARCHIVE_NAME
+    entries = calipack.load_entries(archive)
+    for i in range(count):
+        seg = (
+            trial.campaign
+            / calipack.SEGMENT_DIR
+            / (f"worker-{9 + i}" + calipack.ARCHIVE_SUFFIX)
+        )
+        seg.parent.mkdir(parents=True, exist_ok=True)
+        writer = calipack.CalipackWriter(seg)
+        entry = entries[i % len(entries)]
+        writer.append_bytes(
+            entry.name, calipack.read_entry_bytes(archive, entry)
+        )
+        writer.abort()  # no index, no footer: exactly a crashed worker
 
 
-def _run_armed_campaign(params: RunParams, schedule: Fault) -> None:
+def _run_armed(trial: Trial, schedule: Fault) -> None:
     """Child body: install the strike, run the campaign, exit normally.
 
     When the armed point is reached the process dies *inside* the hook
@@ -105,14 +293,15 @@ def _run_armed_campaign(params: RunParams, schedule: Fault) -> None:
     from repro.suite.executor import SuiteExecutor
 
     install(FaultPlan([schedule]))
-    SuiteExecutor(params).run(write_files=True)
+    SuiteExecutor(trial.params).run(write_files=True)
 
 
-def _run_resume_campaign(params: RunParams) -> None:
+def _resume(trial: Trial) -> None:
+    """Child body: resume the campaign; it must finish clean."""
     from repro.suite.executor import SuiteExecutor
 
     result = SuiteExecutor(
-        dataclasses.replace(params, resume=True)
+        dataclasses.replace(trial.params, resume=True)
     ).run(write_files=True)
     if not result.report.clean:
         raise RuntimeError(
@@ -120,61 +309,42 @@ def _run_resume_campaign(params: RunParams) -> None:
         )
 
 
-def _run_armed_analyze(
-    sources: list[str], cache_dir: str, schedule: Fault
-) -> None:
-    from repro.thicket import Thicket
-
-    install(FaultPlan([schedule]))
-    Thicket.from_caliperreader(sources, cache=cache_dir)
-
-
-# ------------------------------------------------------------ service mode
-CHAOS_JOB_ID = "chaos-job"
+def _check_run(trial: Trial, snap) -> list[str]:
+    expected = _expected_cells(trial.params)
+    found = invariants.check_full_cell_set(expected, trial.campaign)
+    found += invariants.check_sealed_preserved(
+        snap, trial.campaign, check_crc=not trial.site.execute
+    )
+    if trial.mode == "sharded":
+        found += invariants.check_shard_campaign(expected, trial.campaign)
+    return found
 
 
-def _service_job_spec() -> dict:
-    """The service trial's job spec — must mirror :func:`_trial_params`
-    (serial flavor) exactly, so the job's campaign is frame-identical to
-    the golden campaign."""
-    return {
-        "problem_size": 1024,
-        "reps": 1,
-        "machines": ["SPR-DDR"],
-        "variants": ["Base_Seq", "RAJA_Seq"],
-        "kernels": ["Basic_DAXPY", "Stream_TRIAD"],
-        "trials": 2,
-        "execute": False,
-        "pack": False,
-        "workers": 1,
-        "max_attempts": 3,
-        "heartbeat_timeout": 10.0,
-        "retry_base_delay": 0.0,
-        "retry_max_delay": 0.0,
-        "retry_jitter": 0.0,
-    }
+# ---- service: a job-service daemon over one job
+def _seed_service(runner: ChaosRunner, trial: Trial) -> None:
+    trial.root.mkdir()
 
 
-def _run_armed_service(root: str, schedule: Fault, drain: bool) -> None:
-    """Child body for a service trial: submit, schedule, (maybe) drain.
+def _service_armed(trial: Trial, schedule: Fault) -> None:
+    """Child body: submit, schedule, (maybe) drain.
 
-    With ``drain`` the scheduler waits for the job to reach RUNNING and
-    then drains — the ``service.mid-drain`` point fires inside the drain
-    loop, simulating a daemon killed halfway through graceful shutdown.
-    If the armed point never comes due, the loop runs the job to
+    For ``service.mid-drain`` the scheduler waits for the job to reach
+    RUNNING and then drains — the point fires inside the drain loop,
+    simulating a daemon killed halfway through graceful shutdown. If
+    the armed point never comes due, the loop runs the job to
     completion and exits 0 (an ``unreached`` verdict, not a failure).
     """
     from repro.service.jobstore import STATE_RUNNING, JobStore
     from repro.service.scheduler import JobScheduler, SchedulerConfig
 
     install(FaultPlan([schedule]))
-    store = JobStore(root)
-    store.submit(_service_job_spec(), tenant="chaos", job_id=CHAOS_JOB_ID)
+    store = JobStore(trial.root)
+    store.submit(trial.spec, tenant="chaos", job_id=CHAOS_JOB_ID)
     scheduler = JobScheduler(
         store, SchedulerConfig(progress_interval=0.05)
     )
     scheduler.recover()
-    if drain:
+    if trial.site.name == "service.mid-drain":
         deadline = time.monotonic() + CHILD_TIMEOUT_S / 2
         while time.monotonic() < deadline:
             scheduler.tick()
@@ -192,52 +362,60 @@ def _run_armed_service(root: str, schedule: Fault, drain: bool) -> None:
     scheduler.run_until_idle(timeout=CHILD_TIMEOUT_S / 2)
 
 
-def _retention_job_spec() -> dict:
-    """The retention trial's job spec: the service spec, packed.
+def _serve(root: Path, jobs: dict[str, dict]) -> None:
+    """Child body: what a (re)started daemon does — recover, converge.
 
-    Packed because retention trials also exercise archive compaction —
-    ``retention.pre-compact-swap`` needs a sealed ``campaign.calipack``
-    to rebuild."""
-    spec = dict(_service_job_spec())
-    spec["pack"] = True
-    return spec
-
-
-#: the retention trial's jobs, submission order = age order (the ids
-#: also sort that way: created_at has one-second granularity, and the
-#: deterministic tie-break inside a second is the job id)
-RETENTION_JOBS = ("gc-old", "gc-young")
-
-
-def _build_retention_seed(root: str) -> None:
-    """Child body: a service root with two SUCCEEDED packed jobs."""
+    Submits every job first, exactly like a client whose acknowledgment
+    was lost would retry: with the caller-chosen job id a duplicate
+    submit is idempotent, so this never double-queues a campaign.
+    Every job must end SUCCEEDED.
+    """
     from repro.service.jobstore import STATE_SUCCEEDED, JobStore
     from repro.service.scheduler import JobScheduler
 
     store = JobStore(root)
-    store.ensure_layout()
-    for job_id in RETENTION_JOBS:
-        store.submit(_retention_job_spec(), tenant="chaos", job_id=job_id)
+    for job_id, spec in jobs.items():
+        store.submit(spec, tenant="chaos", job_id=job_id)
     scheduler = JobScheduler(store)
     scheduler.recover()
-    scheduler.run_until_idle(timeout=CHILD_TIMEOUT_S / 2)
-    for job_id in RETENTION_JOBS:
+    converged = scheduler.run_until_idle(timeout=CHILD_TIMEOUT_S / 2)
+    states = {}
+    for job_id in jobs:
         record = store.load(job_id)
-        state = record.state if record is not None else "<no record>"
-        if state != STATE_SUCCEEDED:
-            raise RuntimeError(f"seed job {job_id} is {state}")
+        states[job_id] = record.state if record is not None else "<no record>"
+    if not converged or set(states.values()) != {STATE_SUCCEEDED}:
+        raise RuntimeError(f"service did not converge: {states}")
 
 
-def _run_armed_retention(root: str, schedule: Fault) -> None:
-    """Child body: a GC + compaction pass with the strike armed.
+def _service_recover(trial: Trial) -> None:
+    _serve(trial.root, {CHAOS_JOB_ID: trial.spec})
 
-    The policy condemns the oldest of the two terminal jobs
+
+def _check_service(trial: Trial, snap) -> list[str]:
+    return invariants.check_job_service(
+        trial.root, {CHAOS_JOB_ID: _expected_cells(trial.params)}
+    )
+
+
+# ---- retention: GC + compaction over a converged service root
+def _seed_retention(runner: ChaosRunner, trial: Trial) -> None:
+    shutil.copytree(runner._retention_seed(trial.spec), trial.root)
+    trial.pre = {
+        job_id: invariants.snapshot_store(trial.root / "campaigns" / job_id)
+        for job_id in RETENTION_JOBS
+    }
+
+
+def _retention_pass(trial: Trial, schedule: Fault | None = None) -> None:
+    """Child body: a GC + compaction pass, armed or (a restarted
+    daemon's) unarmed; either must leave no tombstone when it finishes.
+
+    The policy condemns the older of the two terminal jobs
     (``max_terminal_jobs=1``); the survivor's archive is then compacted.
     ``retention.pre-tombstone`` fires before the condemnation lands,
     ``retention.mid-delete`` inside the tree removal, and
     ``retention.pre-compact-swap`` between the scratch seal and the swap.
     """
-    from repro.caliper.calipack import ARCHIVE_NAME
     from repro.service.jobstore import JobStore
     from repro.service.retention import (
         RetentionPolicy,
@@ -245,56 +423,82 @@ def _run_armed_retention(root: str, schedule: Fault) -> None:
         gc,
     )
 
-    install(FaultPlan([schedule]))
-    store = JobStore(root)
-    gc(store, RetentionPolicy(max_terminal_jobs=1))
-    archive = store.campaign_dir(RETENTION_JOBS[-1]) / ARCHIVE_NAME
-    if archive.is_file():
-        compact_archive(archive)
-
-
-def _run_retention_recovery(root: str) -> None:
-    """Child body: the unarmed converging pass a restarted daemon runs."""
-    from repro.caliper.calipack import ARCHIVE_NAME
-    from repro.service.jobstore import JobStore
-    from repro.service.retention import (
-        RetentionPolicy,
-        compact_archive,
-        gc,
-    )
-
-    store = JobStore(root)
+    if schedule is not None:
+        install(FaultPlan([schedule]))
+    store = JobStore(trial.root)
     report = gc(store, RetentionPolicy(max_terminal_jobs=1))
     if store.list_tombstone_ids():
-        raise RuntimeError(
-            f"tombstones survived recovery gc: {report.summary()}"
-        )
-    archive = store.campaign_dir(RETENTION_JOBS[-1]) / ARCHIVE_NAME
+        raise RuntimeError(f"tombstones survived gc: {report.summary()}")
+    archive = trial.campaign / calipack.ARCHIVE_NAME
     if archive.is_file():
         compact_archive(archive)
 
 
-def _run_service_recovery(root: str) -> None:
-    """Child body: what a restarted daemon does — recover and converge.
+def _check_retention(trial: Trial, snap) -> list[str]:
+    found = invariants.check_retention(trial.root, trial.pre)
+    old_id = RETENTION_JOBS[0]
+    if (trial.root / "campaigns" / old_id).exists():
+        found.append(f"condemned job {old_id} was not reclaimed")
+    return found
 
-    Also retries the submission exactly like a client whose acknowledgment
-    was lost would: with the caller-chosen job id, a duplicate submit is
-    idempotent, so this never double-queues the campaign.
-    """
-    from repro.service.jobstore import STATE_SUCCEEDED, JobStore
-    from repro.service.scheduler import JobScheduler
 
-    store = JobStore(root)
-    store.submit(_service_job_spec(), tenant="chaos", job_id=CHAOS_JOB_ID)
-    scheduler = JobScheduler(store)
-    scheduler.recover()
-    converged = scheduler.run_until_idle(timeout=CHILD_TIMEOUT_S / 2)
-    record = store.load(CHAOS_JOB_ID)
-    state = record.state if record is not None else "<no record>"
-    if not converged or state != STATE_SUCCEEDED:
-        raise RuntimeError(
-            f"service recovery did not converge: job is {state}"
-        )
+# ---- analyze: the ingest of a finished campaign
+def _seed_analyze(runner: ChaosRunner, trial: Trial) -> None:
+    trial.campaign.mkdir()
+    code = _spawn(_resume, trial)
+    if code != 0:
+        raise RuntimeError(_failed("setup campaign", code))
+    trial.pre = invariants.snapshot_store(trial.campaign)
+
+
+def _analyze_armed(trial: Trial, schedule: Fault) -> None:
+    from repro.thicket import Thicket
+
+    install(FaultPlan([schedule]))
+    Thicket.from_caliperreader(
+        _sources(trial.campaign, trial.params.pack),
+        cache=str(trial.dir / "cache"),
+    )
+
+
+def _check_analyze(trial: Trial, snap) -> list[str]:
+    # The campaign store is read-only to analysis: nothing changes.
+    return invariants.check_sealed_preserved(trial.pre, trial.campaign)
+
+
+#: the trial table, keyed by :attr:`Site.phase <repro.faults.Site.phase>`
+PHASES: dict[str, Phase] = {
+    "run": Phase(
+        seed=_seed_run,
+        armed=_run_armed,
+        locks=(f"{SHARD_DIR}/*",),
+        recover=_resume,
+        check=_check_run,
+    ),
+    "service": Phase(
+        seed=_seed_service,
+        armed=_service_armed,
+        locks=("campaigns/*",),
+        leases=("jobs/*.lease",),
+        quiesce_s=15.0,
+        recover=_service_recover,
+        check=_check_service,
+        job=CHAOS_JOB_ID,
+    ),
+    "retention": Phase(
+        seed=_seed_retention,
+        armed=_retention_pass,
+        recover=_retention_pass,
+        check=_check_retention,
+        job=RETENTION_JOBS[-1],
+        pack=True,
+    ),
+    "analyze": Phase(
+        seed=_seed_analyze,
+        armed=_analyze_armed,
+        check=_check_analyze,
+    ),
+}
 
 
 @dataclass
@@ -430,33 +634,8 @@ class ChaosRunner:
         )
         self._goldens: dict[tuple[bool, bool], tuple[Path, object]] = {}
         self._retention_seed_dir: Path | None = None
-        self._ctx = multiprocessing.get_context("fork")
 
     # ------------------------------------------------------------- plumbing
-    def _spawn(self, target, *args) -> int:
-        """Run ``target(*args)`` in a forked child; return its exit code."""
-        child = self._ctx.Process(target=target, args=args)
-        child.start()
-        child.join(CHILD_TIMEOUT_S)
-        if child.is_alive():
-            child.kill()
-            child.join()
-            return -1
-        return child.exitcode if child.exitcode is not None else -1
-
-    def _sources(self, directory: Path, pack: bool) -> list[str]:
-        """The campaign's ingest sources, ordered by profile name.
-
-        Archive entries append in completion order, which resume
-        legitimately permutes — sorting by name on both the golden and
-        the recovered side makes frame comparison order-insensitive.
-        """
-        if pack:
-            archive = directory / calipack.ARCHIVE_NAME
-            names = sorted(e.name for e in calipack.load_entries(archive))
-            return [calipack.member_ref(archive, n) for n in names]
-        return sorted(str(p) for p in directory.glob("*.cali"))
-
     def _golden(self, spec: Site) -> tuple[Path, object]:
         """The uncrashed reference campaign + Thicket for this config."""
         from repro.thicket import Thicket
@@ -469,7 +648,9 @@ class ChaosRunner:
             / "golden"
             / f"exec{int(spec.execute)}-pack{int(spec.pack)}"
         )
-        params = _trial_params(outdir, "serial", spec)
+        params = params_from_spec(
+            _trial_spec("serial", spec.execute, spec.pack), outdir
+        )
         from repro.suite.executor import SuiteExecutor
 
         result = SuiteExecutor(params).run(write_files=True)
@@ -477,14 +658,23 @@ class ChaosRunner:
             raise RuntimeError(
                 f"golden campaign failed: {result.report.cell_counts()}"
             )
-        thicket = Thicket.from_caliperreader(self._sources(outdir, spec.pack))
+        thicket = Thicket.from_caliperreader(_sources(outdir, spec.pack))
         self._goldens[key] = (outdir, thicket)
         return self._goldens[key]
 
-    def _expected_cells(self, params: RunParams) -> set[str]:
-        from repro.suite.executor import SuiteExecutor
-
-        return {cell.key for cell in SuiteExecutor(params).build_cells()}
+    def _retention_seed(self, spec: dict) -> Path:
+        """A converged service root holding the retention jobs (each
+        with campaign ``spec``), built once, copied per trial."""
+        if self._retention_seed_dir is not None:
+            return self._retention_seed_dir
+        seed_root = self.workdir / "retention-seed"
+        code = _spawn(
+            _serve, seed_root, {job_id: spec for job_id in RETENTION_JOBS}
+        )
+        if code != 0:
+            raise RuntimeError(_failed("retention seed build", code))
+        self._retention_seed_dir = seed_root
+        return seed_root
 
     def _schedule(self, spec: Site, trial: int, token: Path) -> Fault:
         """The trial's deterministic strike plan.
@@ -507,45 +697,6 @@ class ChaosRunner:
             seed=self.seed + trial,
             token=str(token),
         )
-
-    def _seed_stranded_segments(
-        self, outdir: Path, golden_dir: Path, count: int
-    ) -> None:
-        """Plant footer-less worker segments so a serial campaign's
-        startup salvage has something to merge (serial runs never create
-        segments on their own). ``count > 1`` gives the post-merge-unlink
-        point a genuinely *partial* deletion to strike between."""
-        archive = golden_dir / calipack.ARCHIVE_NAME
-        entries = calipack.load_entries(archive)
-        for i in range(count):
-            seg = (
-                outdir
-                / calipack.SEGMENT_DIR
-                / (f"worker-{9 + i}" + calipack.ARCHIVE_SUFFIX)
-            )
-            seg.parent.mkdir(parents=True, exist_ok=True)
-            writer = calipack.CalipackWriter(seg)
-            entry = entries[i % len(entries)]
-            writer.append_bytes(
-                entry.name, calipack.read_entry_bytes(archive, entry)
-            )
-            writer.abort()  # no index, no footer: exactly a crashed worker
-
-    @staticmethod
-    def _wait_shards_quiesce(outdir: Path, timeout_s: float = 10.0) -> None:
-        """Wait for orphaned shard processes to read their coordinator's
-        death as EOF and exit, so the post-crash audit reads a quiescent
-        store."""
-        from repro.suite.manifest import campaign_is_live
-        from repro.suite.shard import SHARD_DIR
-
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if not any(
-                campaign_is_live(d) for d in (outdir / SHARD_DIR).glob("*")
-            ):
-                return
-            time.sleep(0.1)
 
     # ---------------------------------------------------------------- trials
     def run(self) -> ChaosReport:
@@ -573,33 +724,30 @@ class ChaosRunner:
                 shutil.rmtree(self.workdir, ignore_errors=True)
         return report
 
-    def _run_trial(self, spec: Site, mode: str, trial: int) -> TrialVerdict:
+    def _run_trial(self, spec: Site, mode: str, index: int) -> TrialVerdict:
         start = time.monotonic()
         verdict = TrialVerdict(
             point=spec.name,
             mode=mode,
-            trial=trial,
+            trial=index,
             seed=self.seed,
             hit=1,
             torn=False,
         )
+        trial = _new_trial(
+            spec,
+            mode,
+            self.workdir / f"{spec.name.replace('.', '-')}-{mode}-{index}",
+        )
         if mode not in spec.modes:
             verdict.applicable = False
             return verdict
-        trialdir = self.workdir / f"{spec.name.replace('.', '-')}-{mode}-{trial}"
-        trialdir.mkdir(parents=True, exist_ok=True)
-        token = trialdir / "strike.token"
-        schedule = self._schedule(spec, trial, token)
+        trial.dir.mkdir(parents=True, exist_ok=True)
+        token = trial.dir / "strike.token"
+        schedule = self._schedule(spec, index, token)
         verdict.hit, verdict.torn = schedule.hit, schedule.torn
         try:
-            if spec.phase == "analyze":
-                self._analyze_phase_trial(spec, mode, trialdir, schedule, verdict)
-            elif spec.phase == "service":
-                self._service_phase_trial(spec, trialdir, schedule, verdict)
-            elif spec.phase == "retention":
-                self._retention_phase_trial(spec, trialdir, schedule, verdict)
-            else:
-                self._run_phase_trial(spec, mode, trialdir, schedule, verdict)
+            self._trial(trial, schedule, verdict)
         except Exception as exc:  # noqa: BLE001 - a broken trial is a verdict
             verdict.violations.append(
                 f"trial harness error: {type(exc).__name__}: {exc}"
@@ -607,334 +755,69 @@ class ChaosRunner:
         verdict.fired = token.exists()
         verdict.duration_s = time.monotonic() - start
         if not self.keep:
-            shutil.rmtree(trialdir, ignore_errors=True)
+            shutil.rmtree(trial.dir, ignore_errors=True)
         return verdict
 
-    def _run_phase_trial(
-        self,
-        spec: Site,
-        mode: str,
-        trialdir: Path,
-        schedule: Fault,
-        verdict: TrialVerdict,
+    def _trial(
+        self, trial: Trial, schedule: Fault, verdict: TrialVerdict
     ) -> None:
-        golden_dir, golden_thicket = self._golden(spec)
-        outdir = trialdir / "campaign"
-        outdir.mkdir()
-        params = _trial_params(outdir, mode, spec)
-        pack = _effective_pack(mode, spec)
-        if mode == "serial" and spec.name in (
-            "calipack.mid-merge",
-            "calipack.post-merge-unlink",
-        ):
-            self._seed_stranded_segments(
-                outdir,
-                golden_dir,
-                count=2 if spec.name == "calipack.post-merge-unlink" else 1,
-            )
+        """The one trial loop, over the row of the trial's phase."""
+        phase = trial.site.phase
+        row = PHASES[phase]
+        violations = verdict.violations
+        golden = self._golden(trial.site)[1]
+        row.seed(self, trial)
 
-        # Phase 1: the armed run. Exit 0 = completed (point unreached, or
-        # a worker/shard crash the supervising process healed in-flight).
-        code = self._spawn(_run_armed_campaign, params, schedule)
+        # The armed child. Exit 0 = completed (point unreached, or a
+        # worker/shard crash the supervising process healed in-flight).
+        code = _spawn(row.armed, trial, schedule)
         verdict.killed = code == CHAOS_KILL
         if code not in (0, CHAOS_KILL):
-            verdict.violations.append(
-                f"armed campaign died with unexpected exit code {code}"
+            violations.append(_failed(f"armed {phase} child", code))
+            return
+        live = _quiesce(trial.root, row)
+        if live is not None:
+            violations.append(
+                f"post-crash: {live} still live after {row.quiesce_s} s"
             )
             return
-        if mode == "sharded":
-            # A killed coordinator leaves shard processes to read EOF
-            # on their pipes and exit; audit only a quiescent store.
-            self._wait_shards_quiesce(outdir)
 
-        # Phase 2: post-crash atomicity — targets are never torn.
-        snap = invariants.snapshot_store(outdir)
-        verdict.violations += self._check_target_atomicity(outdir)
-
-        # Phase 3: fsck heals; completed cells must survive it.
-        fsck_directory(outdir)
-        verdict.violations += [
-            f"post-fsck: {v}"
-            for v in invariants.check_completed_cells_remembered(snap, outdir)
-        ]
-
-        # Phase 4: resume must finish the campaign and leave it clean.
-        code = self._spawn(_run_resume_campaign, params)
-        if code != 0:
-            verdict.violations.append(
-                f"resume campaign failed with exit code {code}"
-            )
-            return
-        verdict.violations += [
-            f"post-resume: {v}"
-            for v in invariants.check_full_cell_set(
-                self._expected_cells(params), outdir
-            )
-        ]
-        verdict.violations += [
-            f"post-resume: {v}"
-            for v in invariants.check_sealed_preserved(
-                snap, outdir, check_crc=not spec.execute
-            )
-        ]
-        if mode == "sharded":
-            verdict.violations += [
-                f"post-resume: {v}"
-                for v in invariants.check_shard_campaign(
-                    self._expected_cells(params), outdir
-                )
+        # Post-crash atomicity — targets are never torn.
+        if row.job is not None:
+            violations += [
+                f"post-crash: {v}"
+                for v in invariants.check_job_records_parse(trial.root)
             ]
-        recheck = fsck_directory(outdir)
-        if not recheck.clean:
-            verdict.violations.append(
-                "post-resume fsck still found damage: " + recheck.summary()
-            )
-
-        # Phase 5: analysis equivalence on all four ingest paths.
-        verdict.violations += self._check_analysis(
-            outdir, trialdir, spec, golden_thicket, pack=pack
-        )
-
-    def _service_phase_trial(
-        self,
-        spec: Site,
-        trialdir: Path,
-        schedule: Fault,
-        verdict: TrialVerdict,
-    ) -> None:
-        """Kill the job service mid-transition, restart it, check I6.
-
-        Phase 1 runs a scheduler (armed) over a one-job store; the
-        strike kills it mid-save, mid-claim, or mid-drain. Phase 2
-        audits atomicity on the quiesced store (records parse sealed,
-        campaign targets untorn). Phase 3 fscks the whole service root.
-        Phase 4 restarts the service unarmed — recovery plus a client's
-        idempotent resubmit — and requires convergence to SUCCEEDED.
-        Phase 5 checks I6 and analysis equivalence against the golden.
-        """
-        golden_dir, golden_thicket = self._golden(spec)
-        root = trialdir / "service"
-        root.mkdir()
-        campaign = root / "campaigns" / CHAOS_JOB_ID
-
-        # Phase 1: the armed service run.
-        code = self._spawn(
-            _run_armed_service,
-            str(root),
-            schedule,
-            spec.name == "service.mid-drain",
-        )
-        verdict.killed = code == CHAOS_KILL
-        if code not in (0, CHAOS_KILL):
-            verdict.violations.append(
-                f"armed service died with unexpected exit code {code}"
-            )
-            return
-        # A killed scheduler leaves its job runner to notice the
-        # re-parenting and exit (JOB_ORPHANED); audit a quiescent store.
-        self._wait_jobs_quiesce(root)
-
-        # Phase 2: post-crash atomicity.
-        verdict.violations += [
-            f"post-crash: {v}"
-            for v in invariants.check_job_records_parse(root)
-        ]
         snap = None
-        if campaign.is_dir():
-            snap = invariants.snapshot_store(campaign)
-            verdict.violations += self._check_target_atomicity(campaign)
+        if trial.campaign.is_dir():
+            snap = invariants.snapshot_store(trial.campaign)
+            violations += self._check_target_atomicity(trial.campaign)
 
-        # Phase 3: fsck the whole service root (records, leases,
-        # campaigns) — completed cells must survive it.
-        fsck_directory(root)
+        # fsck heals; completed cells must survive it.
+        fsck_directory(trial.root)
         if snap is not None:
-            verdict.violations += [
+            violations += [
                 f"post-fsck: {v}"
                 for v in invariants.check_completed_cells_remembered(
-                    snap, campaign
+                    snap, trial.campaign
                 )
             ]
 
-        # Phase 4: the restarted daemon (unarmed) must converge.
-        code = self._spawn(_run_service_recovery, str(root))
-        if code != 0:
-            verdict.violations.append(
-                f"service recovery failed with exit code {code}"
-            )
-            return
-
-        # Phase 5: I6, fsck-clean, and analysis equivalence.
-        expected = self._expected_cells(
-            _trial_params(campaign, "serial", spec)
-        )
-        verdict.violations += [
-            f"post-recovery: {v}"
-            for v in invariants.check_job_service(
-                root, {CHAOS_JOB_ID: expected}
-            )
-        ]
-        recheck = fsck_directory(root)
-        if not recheck.clean:
-            verdict.violations.append(
-                "post-recovery fsck still found damage: " + recheck.summary()
-            )
-        verdict.violations += self._check_analysis(
-            campaign, trialdir, spec, golden_thicket, pack=False
-        )
-
-    def _retention_seed(self) -> Path:
-        """A converged two-job service root, built once, copied per trial."""
-        if self._retention_seed_dir is not None:
-            return self._retention_seed_dir
-        seed_root = self.workdir / "retention-seed"
-        code = self._spawn(_build_retention_seed, str(seed_root))
-        if code != 0:
-            raise RuntimeError(f"retention seed build exited {code}")
-        self._retention_seed_dir = seed_root
-        return seed_root
-
-    def _retention_phase_trial(
-        self,
-        spec: Site,
-        trialdir: Path,
-        schedule: Fault,
-        verdict: TrialVerdict,
-    ) -> None:
-        """Kill GC/compaction mid-destruction, recover, check I7.
-
-        Phase 1 copies a converged two-SUCCEEDED-job root and runs an
-        armed GC pass (policy condemns the older job) plus a compaction
-        of the survivor's archive; the strike lands before the tombstone,
-        inside the tree removal, or between the compaction seal and
-        swap. Phase 2 audits atomicity (records parse; the survivor's
-        store is untorn). Phase 3 fscks the root — finishing any
-        interrupted reclamation the sealed tombstone proves and sweeping
-        orphan compaction scratch. Phase 4 runs the unarmed converging
-        pass a restarted daemon would. Phase 5 checks I7: the condemned
-        job is fully reclaimed, the survivor fully live with every
-        pre-GC sealed profile byte-identical, and the survivor's
-        campaign analysis-equivalent to the golden.
-        """
-        golden_dir, golden_thicket = self._golden(spec)
-        seed = self._retention_seed()
-        root = trialdir / "service"
-        shutil.copytree(seed, root)
-        survivor = root / "campaigns" / RETENTION_JOBS[-1]
-
-        pre = {
-            job_id: invariants.snapshot_store(root / "campaigns" / job_id)
-            for job_id in RETENTION_JOBS
-        }
-
-        # Phase 1: the armed GC + compaction pass.
-        code = self._spawn(_run_armed_retention, str(root), schedule)
-        verdict.killed = code == CHAOS_KILL
-        if code not in (0, CHAOS_KILL):
-            verdict.violations.append(
-                f"armed retention pass died with unexpected exit code {code}"
-            )
-            return
-
-        # Phase 2: post-crash atomicity — a GC crash must never tear a
-        # record, and never touch the surviving job's store at all.
-        verdict.violations += [
-            f"post-crash: {v}"
-            for v in invariants.check_job_records_parse(root)
-        ]
-        verdict.violations += [
-            f"post-crash survivor: {v}"
-            for v in self._check_target_atomicity(survivor)
-        ]
-
-        # Phase 3: fsck finishes what the tombstone proves.
-        fsck_directory(root)
-
-        # Phase 4: the unarmed converging pass.
-        code = self._spawn(_run_retention_recovery, str(root))
-        if code != 0:
-            verdict.violations.append(
-                f"retention recovery failed with exit code {code}"
-            )
-            return
-
-        # Phase 5: I7 plus fsck-clean plus analysis equivalence.
-        verdict.violations += [
-            f"post-recovery: {v}"
-            for v in invariants.check_retention(root, pre)
-        ]
-        old_id = RETENTION_JOBS[0]
-        if (root / "campaigns" / old_id).exists():
-            verdict.violations.append(
-                f"post-recovery: condemned job {old_id} was not reclaimed"
-            )
-        recheck = fsck_directory(root)
-        if not recheck.clean:
-            verdict.violations.append(
-                "post-recovery fsck still found damage: " + recheck.summary()
-            )
-        verdict.violations += self._check_analysis(
-            survivor, trialdir, spec, golden_thicket, pack=True
-        )
-
-    @staticmethod
-    def _wait_jobs_quiesce(root: Path, timeout_s: float = 15.0) -> None:
-        """Wait for orphaned job runners to read their scheduler's death
-        as EOF and exit, so the post-crash audit reads a quiescent
-        store."""
-        from repro.suite.manifest import campaign_is_live, lease_pid, pid_alive
-
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            live = any(
-                campaign_is_live(c) for c in (root / "campaigns").glob("*")
-            ) or any(
-                pid_alive(lease_pid(lease))
-                for lease in (root / "jobs").glob("*.lease")
-            )
-            if not live:
+        # The unarmed recovery must converge.
+        if row.recover is not None:
+            code = _spawn(row.recover, trial)
+            if code != 0:
+                violations.append(_failed(f"{phase} recovery", code))
                 return
-            time.sleep(0.1)
-
-    def _analyze_phase_trial(
-        self,
-        spec: Site,
-        mode: str,
-        trialdir: Path,
-        schedule: Fault,
-        verdict: TrialVerdict,
-    ) -> None:
-        """Crash mid-analyze (the ingest-cache store), then re-analyze."""
-        golden_dir, golden_thicket = self._golden(spec)
-        outdir = trialdir / "campaign"
-        outdir.mkdir()
-        params = _trial_params(outdir, mode, spec)
-        code = self._spawn(_run_resume_campaign, params)
-        if code != 0:
-            verdict.violations.append(
-                f"setup campaign failed with exit code {code}"
-            )
-            return
-        snap = invariants.snapshot_store(outdir)
-        sources = self._sources(outdir, spec.pack)
-        cache_dir = trialdir / "cache"
-        code = self._spawn(
-            _run_armed_analyze, sources, str(cache_dir), schedule
-        )
-        verdict.killed = code == CHAOS_KILL
-        if code not in (0, CHAOS_KILL):
-            verdict.violations.append(
-                f"armed analyze died with unexpected exit code {code}"
-            )
-            return
-        # The campaign store is read-only to analysis: nothing changes.
-        verdict.violations += [
-            f"post-crash: {v}"
-            for v in invariants.check_sealed_preserved(snap, outdir)
+        violations += [
+            f"post-recovery: {v}" for v in row.check(trial, snap)
         ]
-        fsck_directory(outdir)
-        verdict.violations += self._check_analysis(
-            outdir, trialdir, spec, golden_thicket, cache_dir=cache_dir
-        )
+        recheck = fsck_directory(trial.root)
+        if not recheck.clean:
+            violations.append(
+                "post-recovery fsck still found damage: " + recheck.summary()
+            )
+        violations += self._check_analysis(trial, golden)
 
     # ---------------------------------------------------------------- checks
     def _check_target_atomicity(self, outdir: Path) -> list[str]:
@@ -987,27 +870,19 @@ class ChaosRunner:
                 )
         return violations
 
-    def _check_analysis(
-        self,
-        outdir: Path,
-        trialdir: Path,
-        spec: Site,
-        golden_thicket,
-        cache_dir: Path | None = None,
-        pack: bool | None = None,
-    ) -> list[str]:
+    def _check_analysis(self, trial: Trial, golden_thicket) -> list[str]:
         from repro.thicket import Thicket
 
-        if pack is None:
-            pack = spec.pack
-        sources = self._sources(outdir, pack)
+        pack = trial.params.pack
+        outdir = trial.campaign
+        sources = _sources(outdir, pack)
         violations = []
 
         def compare(label: str, thicket) -> None:
             violations.extend(
                 f"analyze[{label}]: {v}"
                 for v in invariants.thickets_match(
-                    golden_thicket, thicket, volatile=spec.execute
+                    golden_thicket, thicket, volatile=trial.site.execute
                 )
             )
 
@@ -1015,7 +890,7 @@ class ChaosRunner:
         compare("parallel", Thicket.from_caliperreader(sources, workers=2))
 
         # Complement path: flip the storage representation and re-ingest.
-        flipdir = trialdir / "flip"
+        flipdir = trial.dir / "flip"
         flipdir.mkdir(exist_ok=True)
         if pack:
             archive = outdir / calipack.ARCHIVE_NAME
@@ -1032,10 +907,11 @@ class ChaosRunner:
             ]
         compare("flipped", Thicket.from_caliperreader(flip_sources))
 
-        # Cache path: a cold store then a warm hit must agree too.
-        cache = cache_dir if cache_dir is not None else trialdir / "cache"
-        compare("cache-cold", Thicket.from_caliperreader(sources, cache=str(cache)))
-        compare("cache-warm", Thicket.from_caliperreader(sources, cache=str(cache)))
+        # Cache path: a cold store then a warm hit must agree too (the
+        # analyze row's crashed store left its debris in this cache).
+        cache = str(trial.dir / "cache")
+        compare("cache-cold", Thicket.from_caliperreader(sources, cache=cache))
+        compare("cache-warm", Thicket.from_caliperreader(sources, cache=cache))
         return violations
 
     # -------------------------------------------------------------- self-test
@@ -1056,11 +932,14 @@ class ChaosRunner:
         scenarios = []
         try:
             # --- scenario 1: rot a sealed profile, suppress fsck ---------
-            outdir = self.workdir / "selftest-corruption"
-            params = _trial_params(outdir, "serial", spec)
-            code = self._spawn(_run_resume_campaign, params)
+            trial = _new_trial(
+                spec, "serial", self.workdir / "selftest-corruption"
+            )
+            trial.campaign.mkdir(parents=True, exist_ok=True)
+            code = _spawn(_resume, trial)
             if code != 0:
-                raise RuntimeError(f"setup campaign exited {code}")
+                raise RuntimeError(_failed("setup campaign", code))
+            outdir = trial.campaign
             snap = invariants.snapshot_store(outdir)
             victim = sorted(outdir.glob("*.cali"))[0]
             raw = bytearray(victim.read_bytes())
@@ -1076,9 +955,10 @@ class ChaosRunner:
             )
 
             # --- scenario 2: crash between cells, suppress resume --------
-            outdir = self.workdir / "selftest-noresume"
-            outdir.mkdir(parents=True, exist_ok=True)
-            params = _trial_params(outdir, "serial", spec)
+            trial = _new_trial(
+                spec, "serial", self.workdir / "selftest-noresume"
+            )
+            trial.campaign.mkdir(parents=True, exist_ok=True)
             schedule = Fault(
                 site=spec.name,
                 hit=1,
@@ -1086,14 +966,14 @@ class ChaosRunner:
                 seed=self.seed,
                 token=str(self.workdir / "selftest-noresume.token"),
             )
-            code = self._spawn(_run_armed_campaign, params, schedule)
+            code = _spawn(_run_armed, trial, schedule)
             if code != CHAOS_KILL:
                 raise RuntimeError(
                     f"armed campaign exited {code}, expected a chaos kill"
                 )
-            fsck_directory(outdir)  # fsck alone cannot finish the campaign
+            fsck_directory(trial.campaign)  # fsck cannot finish a campaign
             found = invariants.check_full_cell_set(
-                self._expected_cells(params), outdir
+                _expected_cells(trial.params), trial.campaign
             )
             scenarios.append(
                 {

@@ -300,6 +300,95 @@ class TestChaosRunner:
         assert report.ok, report.to_json()
         assert {t.mode for t in report.verdicts} == {"serial", "supervised"}
 
+    @pytest.mark.parametrize("point,mode", [
+        ("service.post-claim", "service"),
+        ("retention.mid-delete", "service"),
+        ("ingest-cache.pre-store", "serial"),
+        ("shard.post-shard-exit", "sharded"),
+    ])
+    def test_every_phase_trial_converges(self, tmp_path, point, mode):
+        """One trial per phase beyond ``run`` (and the sharded mode)."""
+        from repro.chaos.runner import ChaosRunner
+
+        report = ChaosRunner(
+            seed=0, trials_per_point=1, points=[point], modes=[mode],
+            workdir=tmp_path,
+        ).run()
+        assert report.ok, report.to_json()
+        assert report.to_dict()["counts"] == {"ok": 1}
+
+    def test_trial_table_covers_every_phase(self):
+        from repro.chaos.runner import PHASES
+
+        assert set(PHASES) == {SITES[p].phase for p in CRASH_POINTS}
+
+    def test_quiesce_timeout_is_a_violation(self, tmp_path, monkeypatch):
+        """A job lease whose holder never dies stops the trial before
+        the audit reads a store that is still being written."""
+        import dataclasses
+
+        from repro.chaos import runner as chaos_runner
+
+        row = chaos_runner.PHASES["service"]
+
+        def seed_with_live_lease(runner, trial):
+            row.seed(runner, trial)
+            (trial.root / "jobs").mkdir(parents=True)
+            (trial.root / "jobs" / "held.lease").write_text(
+                json.dumps({"pid": os.getpid()})
+            )
+
+        monkeypatch.setitem(chaos_runner.PHASES, "service", dataclasses.replace(
+            row, seed=seed_with_live_lease,
+            armed=lambda trial, schedule: None, quiesce_s=0.2,
+        ))
+        report = chaos_runner.ChaosRunner(
+            seed=0, points=["service.post-claim"], modes=["service"],
+            workdir=tmp_path,
+        ).run()
+        (verdict,) = report.verdicts
+        assert verdict.violations == [
+            "post-crash: job lease jobs/held.lease still live after 0.2 s"
+        ]
+
+    def test_timed_out_child_is_reported_and_reaped(self, tmp_path,
+                                                    monkeypatch):
+        """A hung armed child is killed; its own worker reads EOF."""
+        import dataclasses
+        import time
+
+        from repro.chaos import runner as chaos_runner
+        from repro.suite.manifest import pid_alive
+        from repro.util import child
+
+        pids = tmp_path / "pids.json"
+
+        def hang(trial, schedule):
+            worker = child.spawn(time.sleep, 60, name="hung-worker",
+                                 orphan_exit=1)
+            pids.write_text(json.dumps([os.getpid(), worker.pid]))
+            time.sleep(60)
+
+        monkeypatch.setattr(chaos_runner, "CHILD_TIMEOUT_S", 1.0)
+        monkeypatch.setitem(chaos_runner.PHASES, "run", dataclasses.replace(
+            chaos_runner.PHASES["run"], armed=hang,
+        ))
+        report = chaos_runner.ChaosRunner(
+            seed=0, points=["executor.post-cell"], modes=["serial"],
+            workdir=tmp_path / "work",
+        ).run()
+        (verdict,) = report.verdicts
+        assert verdict.violations == [
+            "armed run child timed out after 1.0 s"
+        ]
+        armed_pid, worker_pid = json.loads(pids.read_text())
+        with pytest.raises(ChildProcessError):  # reaped, not a zombie
+            os.waitpid(armed_pid, os.WNOHANG)
+        deadline = time.monotonic() + 10
+        while pid_alive(worker_pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not pid_alive(worker_pid)
+
     def test_unknown_point_rejected(self, tmp_path):
         from repro.chaos.runner import ChaosRunner
 
