@@ -51,6 +51,25 @@ def bench_kernel_base_seq(benchmark, name, size):
     benchmark(run)
 
 
+RAJA_OPENMP = get_variant("RAJA_OpenMP")
+
+
+@pytest.mark.parametrize("name", ["Apps_LTIMES", "Polybench_ADI"])
+def bench_kernel_raja_openmp_fused(benchmark, name):
+    """RAJA_OpenMP at the executed sweep's size 8000, where fused
+    dispatch calls each body once per forall instead of once per
+    simulated thread. Recorded in the benchmark JSON; not gated (no
+    baseline entry)."""
+    kernel = make_kernel(name, 8000)
+    kernel.ensure_setup()
+    policy = RAJA_OPENMP.policy()
+
+    def run():
+        kernel.run_raja(policy)
+
+    benchmark(run)
+
+
 def bench_gpu_style_dispatch_overhead(benchmark):
     """The block-partitioned CUDA-style dispatch of the RAJA-sim layer."""
     kernel = make_kernel("Stream_TRIAD", 200_000)

@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import exclusive_scan
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import exclusive_scan, forall, forall_chunks
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -62,14 +61,18 @@ class AlgorithmScan(KernelBase):
         x, y = self.x, self.y
         # Two-pass block-scan as GPU implementations do: per-partition sums,
         # scan of the sums, then local scans seeded by the block offsets.
-        parts = list(iter_partitions(policy, _normalize_segment(self.problem_size)))
-        block_sums = np.array([float(np.sum(x[p])) for p in parts])
-        offsets = exclusive_scan(block_sums)
-        for part, offset in zip(parts, offsets):
+        n = self.problem_size
+        block_sums: list[float] = []
+        forall(policy, n, lambda part: block_sums.append(float(np.sum(x[part]))))
+        offsets = exclusive_scan(np.array(block_sums))
+
+        def local_scan(part: np.ndarray, ordinal: int) -> None:
             local = np.cumsum(x[part])
-            y[part[0]] = offset
+            y[part[0]] = offsets[ordinal]
             if len(part) > 1:
-                y[part[1:]] = offset + local[:-1]
+                y[part[1:]] = offsets[ordinal] + local[:-1]
+
+        forall_chunks(policy, n, local_scan)
 
     def checksum(self) -> float:
         return checksum_array(self.y)

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.kernels.apps._fem import basis_matrices, interp_3d, interp_flops, interp_t_3d
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall, slice_capable
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -78,6 +78,8 @@ class AppsConvection3dpa(KernelBase):
             streaming_eff=0.75,
         )
 
+    # Fused: an element's y comes from its own x and velocity; elements share nothing.
+    @slice_capable(fuse=True)
     def _apply(self, elems: slice | np.ndarray) -> None:
         b, g = self.b, self.g
         x = self.x[elems]
@@ -96,9 +98,7 @@ class AppsConvection3dpa(KernelBase):
         self._apply(slice(None))
 
     def run_raja(self, policy: ExecPolicy) -> None:
-        apply_ = self._apply
-        for part in iter_partitions(policy, _normalize_segment(self.ne)):
-            apply_(part)
+        forall(policy, self.ne, self._apply)
 
     def checksum(self) -> float:
         return checksum_array(self.y.ravel())

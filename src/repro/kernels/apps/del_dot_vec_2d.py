@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -103,6 +103,8 @@ class AppsDelDotVec2d(KernelBase):
     def run_raja(self, policy: ExecPolicy) -> None:
         div, compute = self.div, self._compute
 
+        # Fused: div[i] is gathered from node arrays the body never writes.
+        @partition_invariant
         def body(i: np.ndarray) -> None:
             div[i] = compute(i)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.kernels.apps._fem import basis_matrices, interp_flops
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall, slice_capable
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -98,6 +98,8 @@ class AppsDiffusion3dpa(KernelBase):
         t2 = np.einsum("rj,eirs->eijs", m1, t1)
         return np.einsum("sk,eijs->eijk", m2, t2)
 
+    # Fused: an element's y comes from its own x and coefficients.
+    @slice_capable(fuse=True)
     def _apply(self, elems: slice | np.ndarray) -> None:
         b, g = self.b, self.g
         x = self.x[elems]
@@ -117,9 +119,7 @@ class AppsDiffusion3dpa(KernelBase):
         self._apply(slice(None))
 
     def run_raja(self, policy: ExecPolicy) -> None:
-        apply_ = self._apply
-        for part in iter_partitions(policy, _normalize_segment(self.ne)):
-            apply_(part)
+        forall(policy, self.ne, self._apply)
 
     def checksum(self) -> float:
         return checksum_array(self.y.ravel())

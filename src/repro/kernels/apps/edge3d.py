@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall, slice_capable
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -88,6 +88,8 @@ class AppsEdge3d(KernelBase):
             gpu_cache_resident=0.95,
         )
 
+    # Fused: an element's y comes from its own x and Jacobians.
+    @slice_capable(fuse=True)
     def _apply(self, elems: slice | np.ndarray) -> None:
         x = self.x[elems]
         metric = np.linalg.det(self.jac[elems])  # (n_e, QUADS)
@@ -101,9 +103,7 @@ class AppsEdge3d(KernelBase):
         self._apply(slice(None))
 
     def run_raja(self, policy: ExecPolicy) -> None:
-        apply_ = self._apply
-        for part in iter_partitions(policy, _normalize_segment(self.ne)):
-            apply_(part)
+        forall(policy, self.ne, self._apply)
 
     def checksum(self) -> float:
         return checksum_array(self.y.ravel())

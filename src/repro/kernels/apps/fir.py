@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -68,6 +68,8 @@ class AppsFir(KernelBase):
     def run_raja(self, policy: ExecPolicy) -> None:
         out, signal = self.out, self.signal
 
+        # Fused: out[i] is a dot of fixed coefficients with signal.
+        @partition_invariant
         def body(i: np.ndarray) -> None:
             acc = np.zeros(len(i))
             for j, c in enumerate(COEFFS):

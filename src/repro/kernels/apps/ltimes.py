@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import Layout, View, forall
+from repro.rajasim import Layout, View, forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -82,6 +82,8 @@ class AppsLtimes(KernelBase):
         ell, psi, phi = self._views()
         num_z = self.num_z
 
+        # Fused: a z writes only phi[:, :, z], from ell and psi.
+        @partition_invariant
         def body(z: np.ndarray) -> None:
             for m in range(NUM_M):
                 for g in range(NUM_G):

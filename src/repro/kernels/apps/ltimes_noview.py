@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -72,6 +72,8 @@ class AppsLtimesNoview(KernelBase):
         ell, psi, phi = self.ell, self.psi, self.phi
         num_z = self.num_z
 
+        # Fused: a z writes only phi's (m, g, z) slots, from ell and psi.
+        @partition_invariant
         def body(z: np.ndarray) -> None:
             for m in range(NUM_M):
                 for g in range(NUM_G):

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.kernels.apps._fem import basis_matrices
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall, slice_capable
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -80,6 +80,8 @@ class AppsMass3dea(KernelBase):
             gpu_compute_eff=0.8,
         )
 
+    # Fused: an element's matrix comes from its own quadrature weights.
+    @slice_capable(fuse=True)
     def _assemble(self, elems: slice | np.ndarray) -> None:
         self.m[elems] = np.einsum(
             "qi,qj,eq->eij", self.basis, self.basis, self.w[elems]
@@ -89,9 +91,7 @@ class AppsMass3dea(KernelBase):
         self._assemble(slice(None))
 
     def run_raja(self, policy: ExecPolicy) -> None:
-        assemble = self._assemble
-        for part in iter_partitions(policy, _normalize_segment(self.ne)):
-            assemble(part)
+        forall(policy, self.ne, self._assemble)
 
     def checksum(self) -> float:
         return checksum_array(self.m.ravel())

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.kernels.apps._fem import basis_matrices, interp_3d, interp_flops, interp_t_3d
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall, slice_capable
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -77,6 +77,8 @@ class AppsMass3dpa(KernelBase):
             gpu_cache_resident=0.4,
         )
 
+    # Fused: an element's y comes from its own x and d.
+    @slice_capable(fuse=True)
     def _apply(self, elems: slice | np.ndarray) -> None:
         xq = interp_3d(self.b, self.x[elems])
         xq *= self.d[elems]
@@ -86,9 +88,7 @@ class AppsMass3dpa(KernelBase):
         self._apply(slice(None))
 
     def run_raja(self, policy: ExecPolicy) -> None:
-        apply_ = self._apply
-        for part in iter_partitions(policy, _normalize_segment(self.ne)):
-            apply_(part)
+        forall(policy, self.ne, self._apply)
 
     def checksum(self) -> float:
         return checksum_array(self.y.ravel())

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -85,6 +85,8 @@ class AppsMatvec3dStencil(KernelBase):
     def run_raja(self, policy: ExecPolicy) -> None:
         b, interior, compute = self.b, self.interior, self._compute
 
+        # Fused: distinct interior rows of b, each from matrix and x.
+        @partition_invariant
         def body(r: np.ndarray) -> None:
             b[interior[r]] = compute(r)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.kernels.apps._mesh import BoxMesh
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -101,6 +101,8 @@ class AppsVol3d(KernelBase):
     def run_raja(self, policy: ExecPolicy) -> None:
         vol, volumes = self.vol, self._volumes
 
+        # Fused: a zone's volume comes from node coordinates alone.
+        @partition_invariant
         def body(i: np.ndarray) -> None:
             vol[i] = volumes(i)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.kernels.apps._mesh import BoxMesh
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -71,6 +71,8 @@ class AppsZonalAccumulation3d(KernelBase):
     def run_raja(self, policy: ExecPolicy) -> None:
         zone_vals, gather = self.zone_vals, self._gather
 
+        # Fused: a zone gathers its 8 nodes, which the body never writes.
+        @partition_invariant
         def body(z: np.ndarray) -> None:
             zone_vals[z] = gather(z)
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import exclusive_scan, forall_chunks
-from repro.rajasim.forall import iter_partitions, _normalize_segment
+from repro.rajasim import exclusive_scan, forall, forall_chunks
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -62,14 +61,14 @@ class BasicIndexlist(KernelBase):
     def run_raja(self, policy: ExecPolicy) -> None:
         x, indices = self.x, self.indices
         indices[:] = 0
-        parts = list(
-            iter_partitions(policy, _normalize_segment(self.problem_size))
-        )
         # Two-phase per-partition compaction with an exclusive scan of
         # partition counts, as the RAJA scan-based implementation does.
-        counts = np.array(
-            [int(np.count_nonzero(x[p] < 0.0)) for p in parts], dtype=np.int64
+        tallies: list[int] = []
+        forall(
+            policy, self.problem_size,
+            lambda part: tallies.append(int(np.count_nonzero(x[part] < 0.0))),
         )
+        counts = np.array(tallies, dtype=np.int64)
         offsets = exclusive_scan(counts)
         total = int(counts.sum())
 

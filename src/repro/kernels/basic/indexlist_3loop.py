@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import exclusive_scan, forall
+from repro.rajasim import exclusive_scan, forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -67,6 +67,8 @@ class BasicIndexlist3Loop(KernelBase):
         n = self.problem_size
         indices[:] = 0
 
+        # Fused: flags[i] from x[i].
+        @partition_invariant
         def flag_body(i: np.ndarray) -> None:
             flags[i] = x[i] < 0.0
 
@@ -75,6 +77,8 @@ class BasicIndexlist3Loop(KernelBase):
         positions = exclusive_scan(flags[: n + 1])
         self.count = int(positions[n])
 
+        # Fused: each hit stores to its own scanned position.
+        @partition_invariant
         def scatter_body(i: np.ndarray) -> None:
             hits = i[flags[i] == 1]
             indices[positions[hits]] = hits

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.perfmodel.calibration import matmat_traits
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import iter_partitions, _normalize_segment
+from repro.rajasim import forall
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Complexity, Feature
@@ -75,11 +75,13 @@ class BasicMatMatShared(KernelBase):
         c[:] = 0.0
         # Tiled multiply: row-tiles are the launch dimension, the K loop
         # stages TILE-wide panels exactly as the shared-memory kernel does.
-        for rows in iter_partitions(policy, _normalize_segment((0, n))):
+        def row_tile(rows: np.ndarray) -> None:
             row_block = slice(rows[0], rows[-1] + 1)
             for k0 in range(0, n, TILE):
                 k_block = slice(k0, min(k0 + TILE, n))
                 c[row_block] += a[row_block, k_block] @ b[k_block]
+
+        forall(policy, n, row_tile)
 
     def checksum(self) -> float:
         return checksum_array(self.c.ravel())

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import kernel_3d
+from repro.rajasim import kernel_3d, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -64,6 +64,8 @@ class BasicNestedInit(KernelBase):
     def run_raja(self, policy: ExecPolicy) -> None:
         array, ni, nj = self.array, self.ni, self.nj
 
+        # Fused: each point stores a value computed from its own indices.
+        @partition_invariant
         def body(k: np.ndarray, j: np.ndarray, i: np.ndarray) -> None:
             array[i + ni * (j + nj * k)] = (
                 i.astype(np.float64) * j.astype(np.float64) * k.astype(np.float64)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -69,6 +69,8 @@ class LcalsEos(KernelBase):
     def run_raja(self, policy: ExecPolicy) -> None:
         compute = self._compute
 
+        # Fused: writes x from u, y and z, which it never writes.
+        @partition_invariant
         def body(i: np.ndarray) -> None:
             compute(i)
 

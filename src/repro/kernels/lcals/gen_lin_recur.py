@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -65,12 +65,16 @@ class LcalsGenLinRecur(KernelBase):
         n, kb5i = self.problem_size, self.kb5i
         b5, sa, sb, stb5 = self.b5, self.sa, self.sb, self.stb5
 
+        # Fused: each k reads and writes only its own b5/stb5 slots.
+        @partition_invariant
         def sweep1(k: np.ndarray) -> None:
             b5[k + kb5i] = sa[k] + stb5[k] * sb[k]
             stb5[k] = b5[k + kb5i] - stb5[k]
 
         forall(policy, n, sweep1)
 
+        # Fused: each i reads and writes only its own b5/stb5 slots.
+        @partition_invariant
         def sweep2(i: np.ndarray) -> None:
             k = n - (i + 1)
             b5[k + kb5i] = sa[k] + stb5[k] * sb[k]

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -54,6 +54,8 @@ class LcalsHydro1d(KernelBase):
         x, y, z = self.x, self.y, self.z
         q, r, t = self.Q, self.R, self.T
 
+        # Fused: writes x from y and z, which it never writes.
+        @partition_invariant
         def body(i: np.ndarray) -> None:
             x[i] = q + y[i] * (r * z[i + 10] + t * z[i + 11])
 

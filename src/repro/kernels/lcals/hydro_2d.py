@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import kernel_2d
+from repro.rajasim import kernel_2d, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature, Complexity
@@ -63,6 +63,8 @@ class LcalsHydro2d(KernelBase):
     def traits(self) -> KernelTraits:
         return derive(STREAMING, streaming_eff=0.85, simd_eff=0.8, cpu_compute_eff=0.45)
 
+    # Fused: writes za/zb from zp, zq, zr and zm, which it never writes.
+    @partition_invariant
     def _pass1(self, k: object, j: object) -> None:
         za, zb = self.za, self.zb
         zp, zq, zr, zm = self.zp, self.zq, self.zr, self.zm
@@ -73,6 +75,8 @@ class LcalsHydro2d(KernelBase):
             zr[k, j] + zr[k, _m(j)]
         ) / (zm[k, j] + zm[_m2(k), j])
 
+    # Fused: writes zu/zv pointwise from za, zb, zz and zr, read-only here.
+    @partition_invariant
     def _pass2(self, k: object, j: object) -> None:
         zu, zv = self.zu, self.zv
         za, zb, zz, zr = self.za, self.zb, self.zz, self.zr
@@ -89,6 +93,8 @@ class LcalsHydro2d(KernelBase):
             + zb[_p(k), j] * (zr[k, j] - zr[_p(k), j])
         )
 
+    # Fused: updates zr/zz pointwise from themselves and zu/zv.
+    @partition_invariant
     def _pass3(self, k: object, j: object) -> None:
         self.zr[k, j] = self.zr[k, j] + self.T * self.zu[k, j]
         self.zz[k, j] = self.zz[k, j] + self.T * self.zv[k, j]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -75,6 +75,8 @@ class PolybenchAdi(KernelBase):
             gpu_compute_eff=0.3,
         )
 
+    # Fused: each column's recurrence runs down that column alone.
+    @partition_invariant
     def _column_sweep(self, cols: np.ndarray) -> None:
         """Forward substitution + back substitution along each column."""
         n = self.n
@@ -91,6 +93,8 @@ class PolybenchAdi(KernelBase):
         for i in range(n - 2, 0, -1):
             v[i, cols] = p[i, cols] * v[i + 1, cols] + q[i, cols]
 
+    # Fused: each row's recurrence runs along that row alone.
+    @partition_invariant
     def _row_sweep(self, rows: np.ndarray) -> None:
         n = self.n
         u, v, p, q = self.u, self.v, self.p, self.q
@@ -112,11 +116,8 @@ class PolybenchAdi(KernelBase):
         self._row_sweep(all_lines)
 
     def run_raja(self, policy: ExecPolicy) -> None:
-        segment = _normalize_segment(self.n)
-        for part in iter_partitions(policy, segment):
-            self._column_sweep(part)
-        for part in iter_partitions(policy, segment):
-            self._row_sweep(part)
+        forall(policy, self.n, self._column_sweep)
+        forall(policy, self.n, self._row_sweep)
 
     def checksum(self) -> float:
         return checksum_array(self.u.ravel()) + checksum_array(self.v.ravel())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -75,12 +75,18 @@ class PolybenchAtax(KernelBase):
         a, x, y, tmp = self.a, self.x, self.y, self.tmp
         n = self.n
         y[:] = 0.0
-        for rows in iter_partitions(policy, _normalize_segment(n)):
+
+        def row_products(rows: np.ndarray) -> None:
             tmp[rows] = a[rows] @ x
+
+        forall(policy, n, row_products)
+
         # Transposed accumulation phase: partial sums combined in
         # deterministic partition order.
-        for rows in iter_partitions(policy, _normalize_segment(n)):
-            y += tmp[rows] @ a[rows]
+        def accumulate(rows: np.ndarray) -> None:
+            y[:] += tmp[rows] @ a[rows]
+
+        forall(policy, n, accumulate)
 
     def checksum(self) -> float:
         return checksum_array(self.y)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall, kernel_2d
+from repro.rajasim import forall, kernel_2d, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -71,21 +71,29 @@ class PolybenchFdtd2d(KernelBase):
         ex, ey, hz, fict = self.ex, self.ey, self.hz, self.fict
         n, t = self.n, self.t
 
+        # Fused: a constant store to ey's first row.
+        @partition_invariant
         def set_fict(j: np.ndarray) -> None:
             ey[0, j] = fict[t]
 
         forall(policy, n, set_fict)
 
+        # Fused: ey updated pointwise from itself and hz, read-only here.
+        @partition_invariant
         def update_ey(i: np.ndarray, j: np.ndarray) -> None:
             ey[i, j] = ey[i, j] - 0.5 * (hz[i, j] - hz[i - 1, j])
 
         kernel_2d(policy, ((1, n), (0, n)), update_ey)
 
+        # Fused: ex updated pointwise from itself and hz, read-only here.
+        @partition_invariant
         def update_ex(i: np.ndarray, j: np.ndarray) -> None:
             ex[i, j] = ex[i, j] - 0.5 * (hz[i, j] - hz[i, j - 1])
 
         kernel_2d(policy, ((0, n), (1, n)), update_ex)
 
+        # Fused: hz updated pointwise from itself, ex and ey, read-only here.
+        @partition_invariant
         def update_hz(i: np.ndarray, j: np.ndarray) -> None:
             hz[i, j] = hz[i, j] - 0.7 * (
                 ex[i, j + 1] - ex[i, j] + ey[i + 1, j] - ey[i, j]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Complexity, Feature
@@ -86,10 +86,15 @@ class PolybenchFloydWarshall(KernelBase):
         for k in range(self.n):
             col_k = paths[:, k].copy()
             row_k = paths[k].copy()
-            for rows in iter_partitions(policy, _normalize_segment(self.n)):
+
+            # Fused: a row relaxes against copies of row and column k.
+            @partition_invariant
+            def relax(rows: np.ndarray) -> None:
                 paths[rows] = np.minimum(
                     paths[rows], col_k[rows][:, None] + row_k[None, :]
                 )
+
+            forall(policy, self.n, relax)
 
     def checksum(self) -> float:
         return checksum_array(self.paths.ravel())

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Complexity, Feature
@@ -76,9 +76,11 @@ class PolybenchGemm(KernelBase):
         a, b, c = self.a, self.b, self.c
         alpha, beta = self.ALPHA, self.BETA
 
-        for rows in iter_partitions(policy, _normalize_segment(self.n_mat)):
+        def row_block(rows: np.ndarray) -> None:
             block = slice(rows[0], rows[-1] + 1)
             c[block] = beta * c[block] + alpha * (a[block] @ b)
+
+        forall(policy, self.n_mat, row_block)
 
     def checksum(self) -> float:
         return checksum_array(self.c.ravel())

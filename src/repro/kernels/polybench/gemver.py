@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -82,15 +82,25 @@ class PolybenchGemver(KernelBase):
         a, x, w = self.a, self.x, self.w
         u1, v1, u2, v2 = self.u1, self.v1, self.u2, self.v2
         n = self.n
-        seg = _normalize_segment(n)
-        for rows in iter_partitions(policy, seg):
+
+        # Fused: a row's rank-2 update reads only that row of u1 and u2.
+        @partition_invariant
+        def rank2_update(rows: np.ndarray) -> None:
             a[rows] += np.outer(u1[rows], v1) + np.outer(u2[rows], v2)
+
+        forall(policy, n, rank2_update)
         xacc = np.zeros(n)
-        for rows in iter_partitions(policy, seg):
-            xacc += self.y[rows] @ a[rows]
+
+        def accumulate(rows: np.ndarray) -> None:
+            xacc[:] += self.y[rows] @ a[rows]
+
+        forall(policy, n, accumulate)
         x[:] = self.BETA * xacc + self.z
-        for rows in iter_partitions(policy, seg):
+
+        def row_products(rows: np.ndarray) -> None:
             w[rows] = self.ALPHA * (a[rows] @ x)
+
+        forall(policy, n, row_products)
 
     def checksum(self) -> float:
         return checksum_array(self.w) + checksum_array(self.x)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -73,8 +73,10 @@ class PolybenchGesummv(KernelBase):
         a, b, x, y = self.a, self.b, self.x, self.y
         alpha, beta = self.ALPHA, self.BETA
 
-        for rows in iter_partitions(policy, _normalize_segment(self.n)):
+        def row_products(rows: np.ndarray) -> None:
             y[rows] = alpha * (a[rows] @ x) + beta * (b[rows] @ x)
+
+        forall(policy, self.n, row_products)
 
     def checksum(self) -> float:
         return checksum_array(self.y)

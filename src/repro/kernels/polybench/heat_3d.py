@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import kernel_3d
+from repro.rajasim import kernel_3d, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -74,6 +74,8 @@ class PolybenchHeat3d(KernelBase):
         n = self.n
 
         def make_body(dst: np.ndarray, src: np.ndarray):
+            # Fused: writes dst from src, a different array.
+            @partition_invariant
             def body(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> None:
                 dst[i, j, k] = (
                     0.125 * (src[i + 1, j, k] - 2.0 * src[i, j, k] + src[i - 1, j, k])

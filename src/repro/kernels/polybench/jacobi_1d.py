@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import forall
+from repro.rajasim import forall, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -56,11 +56,15 @@ class PolybenchJacobi1d(KernelBase):
         a, b = self.a, self.b
         n = self.problem_size
 
+        # Fused: writes b from a, a different array.
+        @partition_invariant
         def sweep_ab(i: np.ndarray) -> None:
             b[i] = ONE_THIRD * (a[i - 1] + a[i] + a[i + 1])
 
         forall(policy, (1, n - 1), sweep_ab)
 
+        # Fused: writes a from b, a different array.
+        @partition_invariant
         def sweep_ba(i: np.ndarray) -> None:
             a[i] = ONE_THIRD * (b[i - 1] + b[i] + b[i + 1])
 

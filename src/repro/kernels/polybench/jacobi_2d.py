@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim import kernel_2d
+from repro.rajasim import kernel_2d, partition_invariant
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -74,6 +74,8 @@ class PolybenchJacobi2d(KernelBase):
         n = self.n
 
         def make_body(dst: np.ndarray, src: np.ndarray):
+            # Fused: writes dst from src, a different array.
+            @partition_invariant
             def body(i: np.ndarray, j: np.ndarray) -> None:
                 dst[i, j] = 0.2 * (
                     src[i, j] + src[i, j - 1] + src[i, j + 1] + src[i + 1, j] + src[i - 1, j]

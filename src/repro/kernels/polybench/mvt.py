@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Feature
@@ -72,10 +72,15 @@ class PolybenchMvt(KernelBase):
     def run_raja(self, policy: ExecPolicy) -> None:
         a, x1, x2, y1, y2 = self.a, self.x1, self.x2, self.y1, self.y2
         n = self.n
-        for rows in iter_partitions(policy, _normalize_segment(n)):
+
+        def row_products(rows: np.ndarray) -> None:
             x1[rows] += a[rows] @ y1
-        for rows in iter_partitions(policy, _normalize_segment(n)):
-            x2 += y2[rows] @ a[rows]
+
+        def accumulate(rows: np.ndarray) -> None:
+            x2[:] += y2[rows] @ a[rows]
+
+        forall(policy, n, row_products)
+        forall(policy, n, accumulate)
 
     def checksum(self) -> float:
         return checksum_array(self.x1) + checksum_array(self.x2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Complexity, Feature
@@ -85,12 +85,16 @@ class Polybench2mm(KernelBase):
         a, b, c, d, tmp = self.a, self.b, self.c, self.d, self.tmp
         n = self.n_mat
 
-        for rows in iter_partitions(policy, _normalize_segment((0, n))):
+        def first_product(rows: np.ndarray) -> None:
             block = slice(rows[0], rows[-1] + 1)
             tmp[block] = self.ALPHA * (a[block] @ b)
-        for rows in iter_partitions(policy, _normalize_segment((0, n))):
+
+        def second_product(rows: np.ndarray) -> None:
             block = slice(rows[0], rows[-1] + 1)
             d[block] = self.BETA * d[block] + tmp[block] @ c
+
+        forall(policy, n, first_product)
+        forall(policy, n, second_product)
 
     def checksum(self) -> float:
         return checksum_array(self.d.ravel())

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.perfmodel.traits import KernelTraits
-from repro.rajasim.forall import _normalize_segment, iter_partitions
+from repro.rajasim import forall
 from repro.rajasim.policies import ExecPolicy
 from repro.suite.checksum import checksum_array
 from repro.suite.features import Complexity, Feature
@@ -84,9 +84,11 @@ class Polybench3mm(KernelBase):
             (self.f, self.c, self.d),
             (self.g, self.e, self.f),
         ):
-            for rows in iter_partitions(policy, _normalize_segment((0, n))):
+            def row_block(rows: np.ndarray) -> None:
                 block = slice(rows[0], rows[-1] + 1)
                 target[block] = lhs[block] @ rhs
+
+            forall(policy, n, row_block)
 
     def checksum(self) -> float:
         return checksum_array(self.g.ravel())

@@ -28,6 +28,7 @@ from repro.rajasim.forall import (
     forall,
     forall_chunks,
     legacy_dispatch,
+    partition_invariant,
     slice_capable,
 )
 from repro.rajasim.kernel import kernel_2d, kernel_3d
@@ -58,6 +59,7 @@ __all__ = [
     "forall",
     "forall_chunks",
     "slice_capable",
+    "partition_invariant",
     "legacy_dispatch",
     "dispatch_mode",
     "kernel_2d",

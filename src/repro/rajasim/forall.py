@@ -17,6 +17,12 @@ Results are bit-identical across policies for data-parallel bodies
 (floating-point reductions are combined in deterministic partition
 order).
 
+Dispatch owns partitioning: kernels hand their bodies to ``forall`` (or
+:func:`forall_chunks`, or ``kernel_2d``/``kernel_3d``) rather than
+looping over :func:`iter_partitions` themselves, so one place decides how
+a body is called and :func:`legacy_dispatch` stays the per-partition
+reference for all of them.
+
 Zero-copy dispatch
 ------------------
 
@@ -34,19 +40,40 @@ whole sweep. Three mechanisms keep it near zero:
   ``slice`` partitions. NumPy basic indexing returns views, so the body
   reads and writes the kernel arrays with **zero gather/scatter
   copies** — the Python analogue of the raw-pointer loops RAJAPerf's
-  C++ variants compile to. Pure elementwise bodies can further declare
-  ``slice_capable(fuse=True)``: partitioning cannot change their
-  results, so dispatch runs them once over the whole span (one NumPy
-  call instead of one per block) while the launch count still reflects
-  the policy's partition plan.
+  C++ variants compile to.
 * **Iota cache** — bodies that do index arithmetic (``y[i + 1]``) keep
   receiving real index arrays, but the ``arange`` behind a contiguous
   segment is LRU-cached (read-only) and partitions are basic-slicing
   views of it, so no per-call allocation remains on that path either.
 
+Fused dispatch
+--------------
+
+A body whose results cannot depend on how the range is split declares
+itself *partition-invariant*, and dispatch then runs it **once over the
+whole contiguous span** while the launch count still comes from the
+policy's partition plan. Slice bodies declare it with
+``slice_capable(fuse=True)`` and receive ``slice(begin, end)``; bodies
+that need index arrays (``View``/``Layout`` arithmetic, ``i + 1``
+stencils, gathers through an index table) declare it with
+:func:`partition_invariant` and receive the whole cached, read-only
+iota. Under a 56-thread OpenMP policy that is one NumPy call per
+``forall`` instead of 56, which is what keeps a body with Python loops
+(LTIMES' 576 View updates, ADI's line sweeps) from paying its
+interpreter cost once per simulated thread.
+
+The invariance rule: every element a call writes is computed from
+values that no other partition writes in the same call, and the body
+uses no reducer, atomic or ``forall_chunks`` ordinal. Reductions
+combined per partition, atomic accumulation, block scans and BLAS
+row-block products (whose summation order may follow the block shape)
+stay per-partition. Fusion applies to contiguous segments only: an
+explicit index array may repeat an index across partitions.
+
 The seed's allocate-and-gather dispatch is preserved verbatim behind
 :func:`legacy_dispatch` (or ``REPRO_LEGACY_DISPATCH=1`` for child
-processes) so benchmarks and equivalence tests can compare both engines.
+processes) so benchmarks and equivalence tests can compare both engines;
+it ignores every declaration and calls each body once per partition.
 """
 
 from __future__ import annotations
@@ -69,6 +96,10 @@ IndexBody = Callable[[np.ndarray], None]
 ARRAY_INDEX = "array"
 SLICE_INDEX = "slice"
 FUSED_INDEX = "fuse"
+FUSED_ARRAY_INDEX = "fuse-array"
+
+#: Capabilities whose bodies run once over the whole span.
+_FUSED = (FUSED_INDEX, FUSED_ARRAY_INDEX)
 
 _CAPABILITY_ATTR = "__raja_index_capability__"
 
@@ -92,7 +123,8 @@ def slice_capable(body=None, *, fuse: bool = False):
     policy's launch count from the partition plan. Bodies that combine
     per-partition (reductions, ``atomic_add`` accumulation) must NOT set
     ``fuse``: their combine order is part of the simulated execution
-    structure.
+    structure. :func:`partition_invariant` is the index-array
+    counterpart.
     """
 
     def mark(fn):
@@ -102,6 +134,23 @@ def slice_capable(body=None, *, fuse: bool = False):
     if body is None:
         return mark
     return mark(body)
+
+
+def partition_invariant(body):
+    """Declare an index-array body partition-invariant.
+
+    The array-path counterpart of ``slice_capable(fuse=True)``, for
+    bodies that need real indices (``View``/``Layout`` arithmetic,
+    ``y[i + 1]``, ``table[i]`` gathers). The body must obey the
+    invariance rule: every element a call writes is computed from
+    values no other partition writes in the same call, with no reducer,
+    atomic or partition ordinal. Over a contiguous segment, ``forall``
+    then calls it once with the whole cached, read-only iota, and
+    ``kernel_2d``/``kernel_3d`` call it once with the broadcast index
+    arrays of the whole space; the launch count is unchanged.
+    """
+    setattr(body, _CAPABILITY_ATTR, FUSED_ARRAY_INDEX)
+    return body
 
 
 def index_capability(body) -> str:
@@ -333,7 +382,9 @@ def forall(policy: ExecPolicy, segment: object, body: IndexBody) -> int:
 
     Slice-capable bodies (see :func:`slice_capable`) over contiguous
     segments receive ``slice`` partitions — zero-copy dispatch. All other
-    bodies receive index arrays, exactly as before.
+    bodies receive index arrays. Partition-invariant bodies
+    (``slice_capable(fuse=True)``, :func:`partition_invariant`) over
+    contiguous segments are called once with the whole span.
     """
     if _legacy_mode:
         launches = 0
@@ -345,12 +396,14 @@ def forall(policy: ExecPolicy, segment: object, body: IndexBody) -> int:
     if span is not None:
         capability = index_capability(body)
         begin, end = span
-        if capability == FUSED_INDEX:
-            # Partition-invariant body: one call over the whole span;
-            # the launch count still comes from the policy's plan.
+        if capability in _FUSED:
+            # Partition-invariant body: one call over the whole span (a
+            # slice, or the cached iota); the launch count still comes
+            # from the policy's plan.
             launches = len(partition_plan(policy, end - begin))
             if launches:
-                body(slice(begin, end))
+                body(slice(begin, end) if capability == FUSED_INDEX
+                     else _cached_arange(begin, end))
             return launches
         if capability == SLICE_INDEX:
             launches = 0
@@ -372,8 +425,9 @@ def forall_chunks(
     """Like :func:`forall` but passes the partition ordinal to the body.
 
     Needed by kernels that keep per-thread/per-block state, e.g. partial
-    reductions written to a block-indexed scratch array. Honors the same
-    capability protocol as :func:`forall`.
+    reductions written to a block-indexed scratch array. Honors the
+    slice capability; fusion never applies, since a body that takes an
+    ordinal depends on the partitioning by construction.
     """
     if _legacy_mode:
         launches = 0

@@ -195,6 +195,14 @@ class CampaignLock:
                     str(path), claimant, holder.get("acquired_at")
                 ) from None
             try:
+                # The staleness verdict predates the claim: another
+                # contender may have taken over (and released the token)
+                # in between. Take over only the lease judged stale.
+                current = _read_lease(path)
+                if current != holder:
+                    raise CampaignLockedError(
+                        str(path), current.get("pid"), current.get("acquired_at")
+                    )
                 write_durable_text(path, lease)
             finally:
                 token.unlink(missing_ok=True)

@@ -8,7 +8,9 @@ only the parent ever holds one: the child's death is EOF on ``conn``,
 and the parent's death is EOF on the child's end. The child bootstrap
 ignores SIGINT (shutdown is the parent's decision), puts SIGTERM back
 to its default (a fork copies the parent's Python handler, which would
-turn every kill into a grace-period wait and a SIGKILL) and, with
+turn every kill into a grace-period wait and a SIGKILL; :func:`spawn`
+forks with SIGTERM blocked and the bootstrap unblocks it after the
+reset, so an early kill is held, not handled) and, with
 ``orphan_exit``, runs one daemon thread that exits with that status on
 EOF. A parent blocks in one :func:`wait` over its children's pipes and
 sentinels plus a :class:`SelfPipe` its signal handlers write to. See
@@ -55,6 +57,7 @@ class Child(CONTEXT.Process):
     conn = None
     _end = None
     _orphan_exit: int | None = None
+    _sigmask: frozenset = frozenset()
 
     def run(self) -> None:
         """The child bootstrap (runs after the at-fork close)."""
@@ -62,6 +65,9 @@ class Child(CONTEXT.Process):
         _in_child = True
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        # spawn forked with SIGTERM blocked: one sent before the reset
+        # was held, and now kills us the default way.
+        signal.pthread_sigmask(signal.SIG_SETMASK, self._sigmask)
         _ENDS.add(self._end)  # our own children must not hold it
         if self._orphan_exit is not None:
             _exit_on_eof(self._end, self._orphan_exit)
@@ -88,9 +94,13 @@ def spawn(target: Callable, *args, name: str, daemon: bool = True,
     process.conn, process._end = CONTEXT.Pipe()
     process._orphan_exit = orphan_exit
     _ENDS.add(process.conn)  # before the fork: the child must not hold it
+    # Fork with SIGTERM blocked, so none reaches the child while it still
+    # has the parent's handler; the bootstrap restores this mask.
+    process._sigmask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
         process.start()
     finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, process._sigmask)
         process._end.close()  # only the child holds its end
     return process
 

@@ -69,6 +69,29 @@ def test_kill_is_immediate_under_a_parent_sigterm_handler(target):
     assert process.exitcode == -signal.SIGTERM
 
 
+def _sleep(conn):
+    time.sleep(30)
+
+
+def test_sigterm_during_the_bootstrap_is_not_handled_by_the_parent_handler():
+    """SIGTERM sent the moment spawn returns, before the child bootstrap
+    has reset the disposition, must still kill the child: it must not
+    run the parent's Python handler and carry on."""
+    handled = []
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: handled.append(signum))
+    try:
+        for attempt in range(50):
+            process = child.spawn(_sleep, child.PIPE, name="sleeper")
+            process.terminate()
+            process.join(5)
+            code = process.exitcode
+            child.kill(process, grace=0.1)  # reaps one that swallowed it
+            assert code == -signal.SIGTERM, f"attempt {attempt}: exit code {code}"
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert handled == []  # the parent's own mask was restored untouched
+
+
 def test_stale_worker_kill_is_immediate(tmp_path, monkeypatch):
     """The supervisor kills a worker whose beats stopped (a ``hang`` at
     ``worker.pre-cell``) while its own SIGTERM handler is installed: the

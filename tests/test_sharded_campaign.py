@@ -485,6 +485,42 @@ def test_stale_lease_takeover_race_has_exactly_one_winner(tmp_path):
     assert CampaignLock.acquire(tmp_path).acquired
 
 
+def test_takeover_rereads_the_lease_after_claiming_the_token(
+    tmp_path, monkeypatch
+):
+    """The interleaving that made two holders: B reads the dead lease,
+    A takes over and writes its own, then B claims the free token. B
+    must fail cleanly and leave A's lease as it is."""
+    from repro.suite import manifest as manifest_mod
+
+    dead = _CTX.Process(target=_noop)
+    dead.start()
+    dead.join()
+    lock_path = tmp_path / LOCK_NAME
+    lock_path.write_text(
+        json.dumps({"pid": dead.pid, "acquired_at": "2026-01-01T00:00:00"})
+    )
+    real_create = manifest_mod.create_exclusive
+    a_leases = []
+
+    def b_create(path, data):
+        if path.name.endswith(".takeover") and not a_leases:
+            # B has judged the dead lease stale; A overtakes it now.
+            monkeypatch.setattr(manifest_mod, "create_exclusive", real_create)
+            a_leases.append(CampaignLock.acquire(tmp_path))
+            a_leases.append(lock_path.read_text())
+        return real_create(path, data)
+
+    monkeypatch.setattr(manifest_mod, "create_exclusive", b_create)
+    with pytest.raises(CampaignLockedError):
+        CampaignLock.acquire(tmp_path)  # B
+    a_lock, a_lease = a_leases
+    assert a_lock.acquired
+    assert lock_path.read_text() == a_lease
+    assert not (tmp_path / (LOCK_NAME + ".takeover")).exists()
+    a_lock.release()
+
+
 def test_orphaned_takeover_token_does_not_wedge(tmp_path):
     """A token left by a contender that crashed mid-takeover is cleared
     once its claimant is dead; the next acquire succeeds."""
